@@ -14,16 +14,16 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use netsim::QueueConfig;
 use polyraptor::MulticastPull;
 use workload::{
-    foreground_goodputs, run_incast_rq, run_storage_rq, Fabric, IncastScenario, RankCurve,
-    RqRunOptions, StorageScenario,
+    foreground_goodputs, run_incast, run_storage, Fabric, IncastScenario, RankCurve, RqRunOptions,
+    StorageScenario,
 };
 
 const SESSIONS: usize = 40;
 
 fn median_with(opts: &RqRunOptions, replicas: usize) -> f64 {
     let sc = StorageScenario::fig1a(SESSIONS, replicas, 1);
-    let res = run_storage_rq(&sc, &Fabric::small(), opts);
-    RankCurve::new(foreground_goodputs(&res)).median()
+    let res = run_storage(&sc, &Fabric::small(), opts);
+    RankCurve::new(foreground_goodputs(&res.flows)).median()
 }
 
 fn ablation_trimming() {
@@ -49,10 +49,10 @@ fn ablation_spray() {
 fn ablation_multicast_policy() {
     let any = median_with(&RqRunOptions::default(), 3);
     let mut strict = RqRunOptions::default();
-    strict.pr.multicast = MulticastPull::All;
+    strict.transport.multicast = MulticastPull::All;
     let all = median_with(&strict, 3);
     let mut detach = strict;
-    detach.pr.straggler_lag = Some(64);
+    detach.transport.straggler_lag = Some(64);
     let all_detach = median_with(&detach, 3);
     println!(
         "# ablation multicast policy (3 replicas): Any {any:.3} | All {all:.3} | All+detach {all_detach:.3} Gbps"
@@ -62,7 +62,7 @@ fn ablation_multicast_policy() {
 fn ablation_window() {
     for w in [8u32, 16, 32] {
         let mut opts = RqRunOptions::default();
-        opts.pr.initial_window = w;
+        opts.transport.initial_window = w;
         let m = median_with(&opts, 1);
         println!("# ablation initial window {w}: median {m:.3} Gbps");
     }
@@ -74,12 +74,12 @@ fn ablation_incast_trimming() {
         block_bytes: 256 << 10,
         seed: 1,
     };
-    let ndp = run_incast_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let ndp = run_incast(&sc, &Fabric::small(), &RqRunOptions::default()).flows[0].goodput_gbps();
     let opts = RqRunOptions {
         switch_queue: QueueConfig::DROPTAIL_DEFAULT,
         ..Default::default()
     };
-    let droptail = run_incast_rq(&sc, &Fabric::small(), &opts);
+    let droptail = run_incast(&sc, &Fabric::small(), &opts).flows[0].goodput_gbps();
     println!("# ablation incast queue: trimming {ndp:.3} vs drop-tail {droptail:.3} Gbps");
 }
 
@@ -117,7 +117,7 @@ fn ablation_lt_overhead() {
 }
 
 fn ablation_hotspot() {
-    use workload::{run_hotspot_rq, HotspotScenario};
+    use workload::{run_hotspot, HotspotScenario};
     let sc = HotspotScenario {
         transfers: 6,
         object_bytes: 1 << 20,
@@ -125,12 +125,12 @@ fn ablation_hotspot() {
         degraded_rate_frac: 0.1,
         seed: 11,
     };
-    let spray = run_hotspot_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let spray = run_hotspot(&sc, &Fabric::small(), &RqRunOptions::default()).flows;
     let opts = RqRunOptions {
         route: netsim::RouteMode::EcmpFlow,
         ..Default::default()
     };
-    let ecmp = run_hotspot_rq(&sc, &Fabric::small(), &opts);
+    let ecmp = run_hotspot(&sc, &Fabric::small(), &opts).flows;
     let worst = |r: &Vec<workload::TransferResult>| {
         RankCurve::new(r.iter().map(|t| t.goodput_gbps()).collect())
     };
@@ -158,15 +158,15 @@ fn ablations(c: &mut Criterion) {
     g.bench_function("rq_multicast_any_40sessions", |b| {
         b.iter(|| {
             let sc = StorageScenario::fig1a(SESSIONS, 3, 1);
-            run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default())
+            run_storage(&sc, &Fabric::small(), &RqRunOptions::default())
         })
     });
     g.bench_function("rq_multicast_all_40sessions", |b| {
         let mut opts = RqRunOptions::default();
-        opts.pr.multicast = MulticastPull::All;
+        opts.transport.multicast = MulticastPull::All;
         b.iter(|| {
             let sc = StorageScenario::fig1a(SESSIONS, 3, 1);
-            run_storage_rq(&sc, &Fabric::small(), &opts)
+            run_storage(&sc, &Fabric::small(), &opts)
         })
     });
     g.finish();

@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use netsim::{FaultMask, Topology};
-use workload::{run_churn_rq, run_fault_rq, ChurnScenario, Fabric, FaultScenario, RqRunOptions};
+use workload::{run_churn, run_fault, ChurnScenario, Fabric, FaultScenario, RqRunOptions};
 
 fn fault_recovery(c: &mut Criterion) {
     let mut g = c.benchmark_group("fault/recovery");
@@ -18,7 +18,7 @@ fn fault_recovery(c: &mut Criterion) {
     let fabric = Fabric::small();
     g.throughput(Throughput::Bytes((4 * 3 * (128 << 10)) as u64));
     g.bench_function("core_failure_rq_k4", |b| {
-        b.iter(|| run_fault_rq(&sc, &fabric, &RqRunOptions::default()));
+        b.iter(|| run_fault(&sc, &fabric, &RqRunOptions::default()));
     });
     g.finish();
 }
@@ -32,9 +32,9 @@ fn recovery_tail(c: &mut Criterion) {
     let fabric = Fabric::small();
     let batched_opts = RqRunOptions::default();
     let mut legacy_opts = RqRunOptions::default();
-    legacy_opts.pr.repull_batch_cap = 0;
+    legacy_opts.transport.repull_batch_cap = 0;
     for (name, opts) in [("batched", &batched_opts), ("legacy", &legacy_opts)] {
-        let tail = run_fault_rq(&sc, &fabric, opts)
+        let tail = run_fault(&sc, &fabric, opts)
             .recovery()
             .expect("faulted run")
             .max_ns;
@@ -43,10 +43,10 @@ fn recovery_tail(c: &mut Criterion) {
     let mut g = c.benchmark_group("fault/recovery_tail");
     g.sample_size(10);
     g.bench_function("batched_repull", |b| {
-        b.iter(|| run_fault_rq(&sc, &fabric, &batched_opts));
+        b.iter(|| run_fault(&sc, &fabric, &batched_opts));
     });
     g.bench_function("legacy_sweep", |b| {
-        b.iter(|| run_fault_rq(&sc, &fabric, &legacy_opts));
+        b.iter(|| run_fault(&sc, &fabric, &legacy_opts));
     });
     g.finish();
 }
@@ -59,7 +59,7 @@ fn churn(c: &mut Criterion) {
     let mut sc = ChurnScenario::ten_event(6, 2 << 20, 2);
     sc.fault_events = 12;
     let fabric = Fabric::small();
-    let rep = run_churn_rq(&sc, &fabric, &RqRunOptions::default());
+    let rep = run_churn(&sc, &fabric, &RqRunOptions::default());
     let comp = rep.completion();
     println!(
         "fault/churn: completion p50 {} p99 {} max {} ns; {} stranded / {} re-targeted; \
@@ -67,20 +67,20 @@ fn churn(c: &mut Criterion) {
         comp.p50_ns,
         comp.p99_ns,
         comp.max_ns,
-        rep.stranded_sessions,
-        rep.retargeted_sessions,
-        rep.fabric.flaps_coalesced,
+        rep.retargets.stranded_sessions,
+        rep.retargets.retargeted_sessions,
+        rep.run.fabric.flaps_coalesced,
     );
     let mut g = c.benchmark_group("fault/churn");
     g.sample_size(10);
     g.throughput(Throughput::Bytes((6 * (2 << 20)) as u64));
     g.bench_function("poisson_12ev_k4", |b| {
-        b.iter(|| run_churn_rq(&sc, &fabric, &RqRunOptions::default()));
+        b.iter(|| run_churn(&sc, &fabric, &RqRunOptions::default()));
     });
     let mut spread = sc;
     spread.shared_risk_placement = true;
     g.bench_function("poisson_12ev_k4_shared_risk", |b| {
-        b.iter(|| run_churn_rq(&spread, &fabric, &RqRunOptions::default()));
+        b.iter(|| run_churn(&spread, &fabric, &RqRunOptions::default()));
     });
     g.finish();
 }

@@ -8,8 +8,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use workload::{
-    foreground_goodputs, run_storage_rq, run_storage_tcp, Fabric, RankCurve, RqRunOptions,
-    StorageScenario, TcpRunOptions,
+    foreground_goodputs, run_storage, Fabric, RankCurve, RqRunOptions, StorageScenario,
+    TcpRunOptions,
 };
 
 const SESSIONS: usize = 40;
@@ -23,11 +23,11 @@ fn print_medians() {
     ] {
         let sc = StorageScenario::fig1a(SESSIONS, reps, 1);
         let res = if rq {
-            run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default())
+            run_storage(&sc, &Fabric::small(), &RqRunOptions::default())
         } else {
-            run_storage_tcp(&sc, &Fabric::small(), &TcpRunOptions::default())
+            run_storage(&sc, &Fabric::small(), &TcpRunOptions::default())
         };
-        let c = RankCurve::new(foreground_goodputs(&res));
+        let c = RankCurve::new(foreground_goodputs(&res.flows));
         println!("# fig1a(scaled) median {label}: {:.3} Gbps", c.median());
     }
 }
@@ -39,13 +39,13 @@ fn fig1a_scaled(c: &mut Criterion) {
     g.bench_function("rq_3rep_40sessions_k4", |b| {
         b.iter(|| {
             let sc = StorageScenario::fig1a(SESSIONS, 3, 1);
-            run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default())
+            run_storage(&sc, &Fabric::small(), &RqRunOptions::default())
         })
     });
     g.bench_function("tcp_3rep_40sessions_k4", |b| {
         b.iter(|| {
             let sc = StorageScenario::fig1a(SESSIONS, 3, 1);
-            run_storage_tcp(&sc, &Fabric::small(), &TcpRunOptions::default())
+            run_storage(&sc, &Fabric::small(), &TcpRunOptions::default())
         })
     });
     g.finish();

@@ -6,9 +6,7 @@
 //! over 5 seeds) is `--bin fig1c`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use workload::{
-    run_incast_rq, run_incast_tcp, Fabric, IncastScenario, RqRunOptions, TcpRunOptions,
-};
+use workload::{run_incast, Fabric, IncastScenario, RqRunOptions, TcpRunOptions};
 
 fn print_point() {
     for (label, block) in [("256KB", 256usize << 10), ("70KB", 70 << 10)] {
@@ -17,8 +15,10 @@ fn print_point() {
             block_bytes: block,
             seed: 1,
         };
-        let rq = run_incast_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-        let tcp = run_incast_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
+        let rq =
+            run_incast(&sc, &Fabric::small(), &RqRunOptions::default()).flows[0].goodput_gbps();
+        let tcp =
+            run_incast(&sc, &Fabric::small(), &TcpRunOptions::default()).flows[0].goodput_gbps();
         println!("# fig1c(scaled) 8 senders {label}: RQ {rq:.3} Gbps vs TCP {tcp:.3} Gbps");
     }
 }
@@ -34,7 +34,7 @@ fn fig1c_scaled(c: &mut Criterion) {
                 block_bytes: 256 << 10,
                 seed: 1,
             };
-            run_incast_rq(&sc, &Fabric::small(), &RqRunOptions::default())
+            run_incast(&sc, &Fabric::small(), &RqRunOptions::default())
         })
     });
     g.bench_function("tcp_8senders_256KB", |b| {
@@ -44,7 +44,7 @@ fn fig1c_scaled(c: &mut Criterion) {
                 block_bytes: 256 << 10,
                 seed: 1,
             };
-            run_incast_tcp(&sc, &Fabric::small(), &TcpRunOptions::default())
+            run_incast(&sc, &Fabric::small(), &TcpRunOptions::default())
         })
     });
     g.finish();

@@ -55,7 +55,7 @@ use netsim::{
     Agent, Ctx, Dest, FaultMask, FlowId, NoTelemetry, NodeId, NodeKind, Packet, Recorder,
     SimConfig, SimPayload, Simulator, TelemetrySink, Topology,
 };
-use workload::{run_churn_rq, ChurnReport, ChurnScenario, Fabric, RqRunOptions};
+use workload::{run_churn, ChurnReport, ChurnScenario, Fabric, RqRunOptions};
 
 /// Median of a sample set (ns); the samples are per-call averages.
 fn median(mut v: Vec<f64>) -> f64 {
@@ -514,19 +514,20 @@ fn sharded_event_loop(
             ..Default::default()
         };
         let start = Instant::now();
-        let rep = run_churn_rq(&sc, fabric, &opts);
+        let rep = run_churn(&sc, fabric, &opts);
         (start.elapsed().as_nanos() as f64, rep)
     };
     // Warm both variants once and pin the identity contract.
     let (_, serial_rep) = run(1);
     let (_, sharded_rep) = run(shards);
     assert_eq!(
-        serial_rep.fabric.shard_invariant(),
-        sharded_rep.fabric.shard_invariant(),
+        serial_rep.run.fabric.shard_invariant(),
+        sharded_rep.run.fabric.shard_invariant(),
         "{label}: sharded fabric stats diverged from serial"
     );
     let fp = |rep: &ChurnReport| -> Vec<(u32, u64, u64)> {
-        rep.flows
+        rep.run
+            .flows
             .iter()
             .map(|f| (f.session, f.start.as_nanos(), f.finish.as_nanos()))
             .collect()
@@ -547,9 +548,9 @@ fn sharded_event_loop(
         hosts,
         serial_ns: median(serial),
         sharded_ns: median(sharded),
-        shard_epochs: sharded_rep.fabric.shard_epochs,
-        cross_shard_packets: sharded_rep.fabric.cross_shard_packets,
-        horizon_stalls: sharded_rep.fabric.horizon_stalls,
+        shard_epochs: sharded_rep.run.fabric.shard_epochs,
+        cross_shard_packets: sharded_rep.run.fabric.cross_shard_packets,
+        horizon_stalls: sharded_rep.run.fabric.horizon_stalls,
     }
 }
 

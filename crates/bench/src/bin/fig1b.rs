@@ -7,8 +7,7 @@
 
 use polyraptor_bench::{average_rank_curves, print_series_table, run_parallel, FigOptions};
 use workload::{
-    foreground_goodputs, run_storage_rq, run_storage_tcp, RankCurve, RqRunOptions, StorageScenario,
-    TcpRunOptions,
+    foreground_goodputs, run_storage, RankCurve, RqRunOptions, StorageScenario, TcpRunOptions,
 };
 
 fn main() {
@@ -36,11 +35,11 @@ fn main() {
             jobs.push(Box::new(move || {
                 let sc = StorageScenario::fig1b(sessions, senders, seed);
                 let results = if rq {
-                    run_storage_rq(&sc, &fabric, &RqRunOptions::default())
+                    run_storage(&sc, &fabric, &RqRunOptions::default())
                 } else {
-                    run_storage_tcp(&sc, &fabric, &TcpRunOptions::default())
+                    run_storage(&sc, &fabric, &TcpRunOptions::default())
                 };
-                (ci, RankCurve::new(foreground_goodputs(&results)))
+                (ci, RankCurve::new(foreground_goodputs(&results.flows)))
             }));
         }
     }

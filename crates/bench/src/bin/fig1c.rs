@@ -7,9 +7,7 @@
 //! TCP collapses as N grows (RTOmin-driven Incast).
 
 use polyraptor_bench::{print_series_table, run_parallel, FigOptions};
-use workload::{
-    mean_ci95, run_incast_rq, run_incast_tcp, IncastScenario, RqRunOptions, TcpRunOptions,
-};
+use workload::{mean_ci95, run_incast, IncastScenario, RqRunOptions, TcpRunOptions};
 
 fn main() {
     let mut o = FigOptions::parse(std::env::args().skip(1));
@@ -46,7 +44,7 @@ fn main() {
                     (
                         bi * 2,
                         ni,
-                        run_incast_rq(&sc, &fabric, &RqRunOptions::default()),
+                        run_incast(&sc, &fabric, &RqRunOptions::default()).flows[0].goodput_gbps(),
                     )
                 }));
                 // TCP job.
@@ -59,7 +57,7 @@ fn main() {
                     (
                         bi * 2 + 1,
                         ni,
-                        run_incast_tcp(&sc, &fabric, &TcpRunOptions::default()),
+                        run_incast(&sc, &fabric, &TcpRunOptions::default()).flows[0].goodput_gbps(),
                     )
                 }));
             }

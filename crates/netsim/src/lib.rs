@@ -88,8 +88,7 @@ pub use queue::{Enqueued, PortQueue, QueueConfig, QueueStats};
 pub use rng::Pcg32;
 pub use shard::ShardPlan;
 pub use sim::{
-    ecmp_choice, layer_choice, Agent, Ctx, FabricStats, LayerAssign, RouteMode, SimConfig,
-    Simulator,
+    ecmp_choice, layer_choice, Agent, Ctx, FabricStats, RouteMode, SimConfig, Simulator,
 };
 pub use telemetry::{
     Annotation, AnomalyKind, Bucket, FabricEvent, FlightDump, FlowSpanEvent, NoTelemetry,

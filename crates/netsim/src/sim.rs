@@ -14,7 +14,7 @@
 //!
 //! Hosts hand packets to their NIC queue; switches forward within the
 //! packet's routing layer (assigned per flow, see
-//! [`LayerAssign`], with re-assignment away from layers whose path to
+//! [`layer_choice`], with re-assignment away from layers whose path to
 //! the destination is dead) picking among the layer's advertised ports
 //! by per-flow ECMP hash or per-packet spraying, or along a registered
 //! multicast tree (built on the minimal layer). The link model is
@@ -125,34 +125,6 @@ pub enum RouteMode {
     Spray,
 }
 
-/// How unicast traffic is assigned to routing layers (see
-/// [`RoutingPolicy`]) — the pluggable flow→layer strategy, and the
-/// extension point for FatPaths-style flowlet/loss-driven switching.
-/// With a single-layer (minimal) policy it degenerates to classic
-/// single-table forwarding.
-///
-/// Note there is deliberately no per-*packet* (or per-hop) layer
-/// spraying: a packet that mixes layers across hops has no single
-/// weighted-distance potential bounding its walk, so loop freedom and
-/// the 2× stretch bound would be lost. Per-packet path diversity comes
-/// from [`RouteMode::Spray`] *within* the assigned layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayerAssign {
-    /// Per-flow hash (the FatPaths default): every packet of a flow
-    /// rides one layer, so a flow sees stable path characteristics and
-    /// every switch agrees on the layer without per-packet state.
-    /// The first switch a packet enters stamps the assigned layer into
-    /// the packet (exactly FatPaths' source stamping); downstream hops
-    /// honour the stamp. Flows are re-assigned away from a layer whose
-    /// path to the destination is dead at a hop (no advertised port, or
-    /// every advertised port locally known down) — at most one move per
-    /// (switch, flow, destination) per convergence window, counted in
-    /// [`FabricStats::layer_reassignments`]; the moves are forgotten
-    /// when routes converge (layers only reweight links, so after a
-    /// repair every layer reaches everything the fabric reaches).
-    FlowHash,
-}
-
 /// Simulator-wide configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SimConfig {
@@ -163,9 +135,6 @@ pub struct SimConfig {
     pub host_queue: QueueConfig,
     /// Path selection policy (within the assigned layer).
     pub route: RouteMode,
-    /// Flow→layer assignment strategy (irrelevant under a single-layer
-    /// routing policy).
-    pub layer_assign: LayerAssign,
     /// Control-plane convergence time: a detected fault kills traffic
     /// immediately, but routes (and multicast trees) are only recomputed
     /// this many nanoseconds later — during the window, packets keep
@@ -197,7 +166,6 @@ impl SimConfig {
             switch_queue: QueueConfig::NDP_DEFAULT,
             host_queue: QueueConfig::DropTail { cap_pkts: 100_000 },
             route: RouteMode::Spray,
-            layer_assign: LayerAssign::FlowHash,
             reroute_delay_ns: 0,
             seed,
             parallelism: 1,
@@ -211,7 +179,6 @@ impl SimConfig {
             switch_queue: QueueConfig::DROPTAIL_DEFAULT,
             host_queue: QueueConfig::DropTail { cap_pkts: 100_000 },
             route: RouteMode::EcmpFlow,
-            layer_assign: LayerAssign::FlowHash,
             reroute_delay_ns: 0,
             seed,
             parallelism: 1,
@@ -1652,7 +1619,6 @@ fn forward<P: SimPayload, A: Agent<P>>(
             let n_layers = env.topo.layer_count();
             let mut layer = 0;
             if n_layers > 1 {
-                let LayerAssign::FlowHash = env.config.layer_assign;
                 let stamp = pkt.payload.layer;
                 if stamp == LAYER_UNSTAMPED {
                     // First switch: assign the flow's layer. Healthy
@@ -1875,11 +1841,27 @@ pub fn ecmp_choice(flow: crate::packet::FlowId, node: NodeId, n_choices: usize) 
     h as usize % n_choices
 }
 
-/// The routing layer [`LayerAssign::FlowHash`] assigns a flow to: a
-/// deterministic hash of the flow id alone, so every switch agrees on
-/// the flow's layer without per-packet state — equivalent to the source
-/// stamping the layer in the packet header, as FatPaths does. Exposed
-/// so experiment code can predict a flow's layer.
+/// The routing layer a flow is assigned to: a deterministic hash of the
+/// flow id alone, so every packet of a flow rides one layer, the flow
+/// sees stable path characteristics, and every switch agrees on the
+/// layer without per-packet state. The first switch a packet enters
+/// stamps this layer into the packet (exactly FatPaths' source
+/// stamping); downstream hops honour the stamp. Flows are re-assigned
+/// away from a layer whose path to the destination is dead at a hop (no
+/// advertised port, or every advertised port locally known down) — at
+/// most one move per (switch, flow, destination) per convergence
+/// window, counted in [`FabricStats::layer_reassignments`]; the moves
+/// are forgotten when routes converge (layers only reweight links, so
+/// after a repair every layer reaches everything the fabric reaches).
+///
+/// There is deliberately no per-*packet* (or per-hop) layer spraying: a
+/// packet that mixes layers across hops has no single weighted-distance
+/// potential bounding its walk, so loop freedom and the 2× stretch
+/// bound would be lost. Per-packet path diversity comes from
+/// [`RouteMode::Spray`] *within* the assigned layer. Under a
+/// single-layer (minimal) policy every flow rides layer 0 — classic
+/// single-table forwarding. Exposed so experiment code can predict a
+/// flow's layer.
 pub fn layer_choice(flow: crate::packet::FlowId, n_layers: usize) -> usize {
     if n_layers <= 1 {
         return 0;

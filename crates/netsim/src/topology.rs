@@ -1026,11 +1026,20 @@ impl Topology {
     /// Build a k-ary fat-tree (k even): k pods of (k/2 edge + k/2
     /// aggregation) switches, (k/2)² core switches, k²/4 hosts per pod
     /// wait — k/2 hosts per edge switch, so k³/4 hosts total. All links
-    /// share `rate_bps`/`prop_ns` (the paper: 1 Gbps, 10 µs).
+    /// share `rate_bps`/`prop_ns` (the paper: 1 Gbps, 10 µs). Routed
+    /// under the default single-layer minimal policy.
+    pub fn fat_tree(k: usize, rate_bps: u64, prop_ns: u64) -> Topology {
+        let mut t = Self::fat_tree_graph(k, rate_bps, prop_ns);
+        t.compute_routes();
+        t
+    }
+
+    /// The [`Topology::fat_tree`] graph, unrouted: set the policy and
+    /// parallelism, then call [`Topology::compute_routes`] once.
     // Index loops mirror the fat-tree's (pod, column) coordinate system;
     // iterator chains over the nested vecs obscure the symmetry.
     #[allow(clippy::needless_range_loop)]
-    pub fn fat_tree(k: usize, rate_bps: u64, prop_ns: u64) -> Topology {
+    pub fn fat_tree_graph(k: usize, rate_bps: u64, prop_ns: u64) -> Topology {
         assert!(
             k >= 2 && k.is_multiple_of(2),
             "fat-tree requires even k >= 2"
@@ -1069,7 +1078,6 @@ impl Topology {
                 }
             }
         }
-        t.compute_routes();
         t
     }
 
@@ -1148,6 +1156,22 @@ impl Topology {
         rate_bps: u64,
         prop_ns: u64,
     ) -> Topology {
+        let mut t =
+            Self::leaf_spine_graph(leaves, spines, hosts_per_leaf, oversub, rate_bps, prop_ns);
+        t.compute_routes();
+        t
+    }
+
+    /// The [`Topology::leaf_spine`] graph, unrouted (see
+    /// [`Topology::fat_tree_graph`]).
+    pub fn leaf_spine_graph(
+        leaves: usize,
+        spines: usize,
+        hosts_per_leaf: usize,
+        oversub: f64,
+        rate_bps: u64,
+        prop_ns: u64,
+    ) -> Topology {
         assert!(
             leaves >= 2 && spines >= 1 && hosts_per_leaf >= 1,
             "leaf-spine needs >= 2 leaves, >= 1 spine, >= 1 host per leaf"
@@ -1172,7 +1196,6 @@ impl Topology {
                 t.connect(leaf, spine, uplink_bps, prop_ns);
             }
         }
-        t.compute_routes();
         t
     }
 
@@ -1182,6 +1205,28 @@ impl Topology {
     /// retries), each hosting `hosts_per_switch` hosts. All links share
     /// `rate_bps`/`prop_ns`. Same seed ⇒ identical graph.
     pub fn jellyfish(
+        switches: usize,
+        net_degree: usize,
+        hosts_per_switch: usize,
+        rate_bps: u64,
+        prop_ns: u64,
+        seed: u64,
+    ) -> Topology {
+        let mut t = Self::jellyfish_graph(
+            switches,
+            net_degree,
+            hosts_per_switch,
+            rate_bps,
+            prop_ns,
+            seed,
+        );
+        t.compute_routes();
+        t
+    }
+
+    /// The [`Topology::jellyfish`] graph, unrouted (see
+    /// [`Topology::fat_tree_graph`]).
+    pub fn jellyfish_graph(
         switches: usize,
         net_degree: usize,
         hosts_per_switch: usize,
@@ -1211,7 +1256,6 @@ impl Topology {
                 t.connect(host, s, rate_bps, prop_ns);
             }
         }
-        t.compute_routes();
         t
     }
 

@@ -65,6 +65,12 @@ impl TcpAgent {
         self.senders.get(&conn)
     }
 
+    /// Retransmission timeouts summed over this host's sender
+    /// connections.
+    pub fn timeouts(&self) -> u64 {
+        self.senders.values().map(|s| s.timeouts).sum()
+    }
+
     /// Number of sender connections still moving data.
     pub fn active_sends(&self) -> usize {
         self.senders

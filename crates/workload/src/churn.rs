@@ -17,19 +17,13 @@
 //! process, spraying), so a churn soak is byte-identical per seed like
 //! every other experiment in this repo.
 
-use netsim::{
-    FabricStats, FaultMix, FaultPlan, FaultProcess, Pcg32, SimConfig, SimTime, Simulator, Topology,
-};
-use polyraptor::{host_fail_token, host_up_token, PolyraptorAgent};
-use tcpsim::{conn_start_token, TcpAgent};
+use netsim::{FaultMix, FaultPlan, FaultProcess, SimTime, Topology};
 
 use crate::fault::{RecoveryStats, REROUTE_DELAY_NS};
 use crate::runner::{
-    build_rq_specs, build_tcp_conns, collect_rq_results, collect_tcp_results, install_rq,
-    op_results, Fabric, RqRunOptions, TcpRunOptions, TransferResult,
+    agent_stream, op_results, Fabric, Retargets, Run, RunOptions, RunReport, Transport,
 };
 use crate::scenario::{LogicalSession, Pattern, StorageScenario, PAPER_LAMBDA_PER_HOST};
-use crate::telemetry::{gather_rq_spans, take_run_telemetry, RunTelemetry};
 
 /// Parameters of a churn soak: the storage fetch workload plus the
 /// Poisson fault process sustained over it.
@@ -124,39 +118,24 @@ impl ChurnScenario {
 /// Everything a churn run reports.
 #[derive(Debug, Clone)]
 pub struct ChurnReport {
-    /// Per-session transfer results (one per fetch client).
-    pub flows: Vec<TransferResult>,
-    /// Fabric counters — `flaps_coalesced`, `restores_incremental`,
-    /// `reroutes`, `lost_to_fault`, …
-    pub fabric: FabricStats,
+    /// One result per fetch (TCP stripes collapsed to the fetch), fabric
+    /// counters (`flaps_coalesced`, `restores_incremental`, `reroutes`,
+    /// `lost_to_fault`, …), timeouts and telemetry.
+    pub run: RunReport,
     /// Down-events of the executed plan (failure instants, all classes).
     pub fault_instants: Vec<SimTime>,
     /// Host failures the plan scripted.
     pub host_failures: usize,
-    /// (session, dead sender) strandings observed across all clients.
-    pub stranded_sessions: u64,
-    /// Strandings re-targeted at a surviving replica.
-    pub retargeted_sessions: u64,
-    /// Strandings undone by a host-revival notification: the revived
-    /// sender was re-admitted to a still-open session (no credit is
-    /// minted across the strand/revive boundary).
-    pub unstranded_sessions: u64,
-    /// Symbols re-pulled from survivors on re-target, summed over all
-    /// sessions (each bounded by its decode's remaining need).
-    pub retarget_symbols: u64,
-    /// Sender retransmission timeouts (structurally 0 for Polyraptor —
-    /// recovery is pull-paced, never timer-paced; kept explicit so the
-    /// soak can assert it).
-    pub timeouts: u64,
-    /// Recorded telemetry, when the run options enabled it.
-    pub telemetry: Option<RunTelemetry>,
+    /// Session strandings and re-targets (structurally 0 for TCP).
+    pub retargets: Retargets,
 }
 
 impl ChurnReport {
     /// Completion-time percentiles over every fetch.
     pub fn completion(&self) -> RecoveryStats {
         RecoveryStats::from_latencies(
-            self.flows
+            self.run
+                .flows
                 .iter()
                 .map(|f| f.finish.as_nanos() - f.start.as_nanos())
                 .collect(),
@@ -170,7 +149,7 @@ impl ChurnReport {
     pub fn recovery(&self) -> Option<RecoveryStats> {
         let mut lat = Vec::new();
         for &at in &self.fault_instants {
-            for f in &self.flows {
+            for f in &self.run.flows {
                 if f.start < at && f.finish > at {
                     lat.push(f.finish.as_nanos() - at.as_nanos());
                 }
@@ -180,165 +159,47 @@ impl ChurnReport {
     }
 }
 
-/// Run the churn scenario under Polyraptor. Every fetch must complete —
-/// sustained churn with repair is survivable by construction (path
-/// redundancy for the fabric, data redundancy for the replicas) — or
-/// the collector panics.
-pub fn run_churn_rq(sc: &ChurnScenario, fabric: &Fabric, opts: &RqRunOptions) -> ChurnReport {
+/// Run the churn scenario. Every fetch must complete — sustained churn
+/// with repair is survivable by construction — or the collector panics.
+/// Polyraptor survives on path redundancy for the fabric and data
+/// redundancy for the replicas: a client whose replica dies re-targets a
+/// survivor. The TCP baseline (one ECMP-pinned connection per replica
+/// stripe, same seeded plan, same convergence window) has no re-target —
+/// a dead replica's stripe stalls until the scripted repair and the
+/// retransmission machinery grinds through — so its `retargets` are
+/// structurally 0 and `timeouts` carries the RTO count that explains its
+/// tail. Flows are collapsed to one per fetch (a fetch completes when
+/// its *last* stripe does), identically for both transports.
+pub fn run_churn<C: Transport>(
+    sc: &ChurnScenario,
+    fabric: &Fabric,
+    opts: &RunOptions<C>,
+) -> ChurnReport {
     assert!(sc.replicas >= 2, "churn needs a survivor to re-target");
-    let topo = fabric.build_with_policy(opts.policy);
-    let sessions = sc.storage().generate(&topo);
-    let plan = sc.plan(&topo, &sessions);
-    let mut sim_cfg = SimConfig::ndp(sc.seed ^ 0xC0_17);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.shards = opts.shards;
-    sim_cfg.layer_assign = opts.layer_assign;
-    sim_cfg.reroute_delay_ns = REROUTE_DELAY_NS;
-    let mut pr = opts.pr;
-    pr.record_spans |= opts.telemetry.enabled;
-    let mut sim: Simulator<_, PolyraptorAgent, _> =
-        Simulator::with_telemetry(topo, sim_cfg, opts.telemetry.recorder());
-    let hosts = sim.topology().hosts().to_vec();
-    let mut seed_rng = Pcg32::new(sc.seed ^ 0xA6E27);
-    for &h in &hosts {
-        let s = seed_rng.next_u64();
-        sim.set_agent(h, PolyraptorAgent::new(h, pr, s));
-    }
-    let specs = build_rq_specs(&mut sim, &sessions, Pattern::Read);
-    for spec in &specs {
-        install_rq(&mut sim, spec);
-    }
-    sim.schedule_faults(&plan);
-
-    // Control-plane host-failure notifications: every client fetching
-    // from a host the plan kills learns of the death one convergence
-    // window after it strikes (or after its own session starts, for
-    // fetches that begin mid-outage) — the same lag the fabric's reroute
-    // pays. Failures already repaired by then were transient; the
-    // keep-alive sweep alone covers those.
-    let host_failures = plan.host_failures(sim.topology());
-    for f in &host_failures {
-        for ls in &sessions {
-            if !ls.replicas.contains(&f.host) {
-                continue;
-            }
-            let notify = f.at.max(ls.start) + REROUTE_DELAY_NS;
-            if f.repaired_at.is_some_and(|up| up <= notify) {
-                continue;
-            }
-            sim.schedule_timer(ls.client, notify, host_fail_token(f.host));
-            // The matching revival notification, one convergence window
-            // after the scripted repair: the client re-admits the
-            // revived replica to its still-open sessions and the
-            // keep-alive sweep's probing takes it from there.
-            if let Some(up) = f.repaired_at {
-                let renotify = up.max(ls.start) + REROUTE_DELAY_NS;
-                sim.schedule_timer(ls.client, renotify, host_up_token(f.host));
-            }
-        }
-    }
-
-    sim.run_to_completion();
-    let flows = collect_rq_results(&sim, &sessions, Pattern::Read);
-    let (mut stranded, mut retargeted, mut retarget_symbols) = (0u64, 0u64, 0u64);
-    let mut unstranded = 0u64;
-    for (_, agent) in sim.agents() {
-        stranded += agent.stranded_sessions;
-        retargeted += agent.retargeted_sessions;
-        unstranded += agent.unstranded_sessions;
-        retarget_symbols += agent
-            .records
-            .iter()
-            .map(|r| r.retarget_symbols)
-            .sum::<u64>();
-    }
-    if stranded > 0 {
-        // A stranding is survivable (that's the re-target claim) but
-        // still anomalous fabric-level history worth a flight dump.
-        sim.note_anomaly(netsim::AnomalyKind::StrandedSession);
-    }
-    let spans = gather_rq_spans(&sim);
-    let telemetry = take_run_telemetry(&mut sim, spans);
-    let fault_instants = plan.down_instants();
+    let run = Run::new(
+        fabric,
+        opts,
+        sc.seed ^ 0xC0_17,
+        REROUTE_DELAY_NS,
+        &mut agent_stream(sc.seed),
+    );
+    let sessions = sc.storage().generate(run.topology());
+    let plan = sc.plan(run.topology(), &sessions);
+    let host_failures = plan.host_failures(run.topology()).len();
+    let (mut run, retargets) = run.finish(&sessions, Pattern::Read, &plan);
+    run.flows = op_results(&run.flows, sc.object_bytes);
     ChurnReport {
-        flows,
-        fabric: sim.stats(),
-        fault_instants,
-        host_failures: host_failures.len(),
-        stranded_sessions: stranded,
-        retargeted_sessions: retargeted,
-        unstranded_sessions: unstranded,
-        retarget_symbols,
-        timeouts: 0,
-        telemetry,
-    }
-}
-
-/// Run the identical churn scenario under the TCP baseline: one
-/// ECMP-pinned connection per replica stripe, the same seeded Poisson
-/// fault plan, the same convergence window. TCP has no session
-/// re-target — a dead replica's stripe simply stalls until the scripted
-/// repair revives the host and the retransmission machinery grinds
-/// through — so the report's `stranded_sessions`/`retargeted_sessions`
-/// are structurally 0 and `timeouts` carries the RTO count that
-/// explains the tail the comparison figure shows. Per-stripe flows are
-/// collapsed to op level (a fetch completes when its *last* stripe
-/// does), so `flows` is one result per session exactly like the
-/// Polyraptor report's.
-pub fn run_churn_tcp(sc: &ChurnScenario, fabric: &Fabric, opts: &TcpRunOptions) -> ChurnReport {
-    assert!(sc.replicas >= 2, "churn needs a survivor to re-target");
-    let topo = fabric.build_with_policy(opts.policy);
-    let sessions = sc.storage().generate(&topo);
-    let plan = sc.plan(&topo, &sessions);
-    let mut sim_cfg = SimConfig::classic(sc.seed ^ 0xC0_17);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.shards = opts.shards;
-    sim_cfg.reroute_delay_ns = REROUTE_DELAY_NS;
-    let mut sim: Simulator<_, TcpAgent, _> =
-        Simulator::with_telemetry(topo, sim_cfg, opts.telemetry.recorder());
-    let hosts = sim.topology().hosts().to_vec();
-    for &h in &hosts {
-        sim.set_agent(h, TcpAgent::new(h, opts.tcp));
-    }
-    let conns = build_tcp_conns(&sessions, Pattern::Read);
-    for c in &conns {
-        sim.agent_mut(c.sender).install(c.clone());
-        sim.agent_mut(c.receiver).install(c.clone());
-        sim.schedule_timer(c.sender, c.start, conn_start_token(c.id));
-    }
-    sim.schedule_faults(&plan);
-    sim.run_to_completion();
-    let timeouts: u64 = conns
-        .iter()
-        .map(|c| sim.agent(c.sender).sender(c.id).map_or(0, |s| s.timeouts))
-        .sum();
-    if timeouts > 0 {
-        sim.note_anomaly(netsim::AnomalyKind::Timeout);
-    }
-    let flows = op_results(&collect_tcp_results(&sim, &sessions), sc.object_bytes);
-    let telemetry = take_run_telemetry(&mut sim, Vec::new());
-    let fault_instants = plan.down_instants();
-    ChurnReport {
-        host_failures: plan.host_failures(sim.topology()).len(),
-        flows,
-        fabric: sim.stats(),
-        fault_instants,
-        stranded_sessions: 0,
-        retargeted_sessions: 0,
-        unstranded_sessions: 0,
-        retarget_symbols: 0,
-        timeouts,
-        telemetry,
+        run,
+        fault_instants: plan.down_instants(),
+        host_failures,
+        retargets,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{RqRunOptions, TcpRunOptions};
 
     fn small() -> ChurnScenario {
         ChurnScenario::ten_event(6, 128 << 10, 3)
@@ -346,11 +207,11 @@ mod tests {
 
     #[test]
     fn churn_run_completes_every_fetch() {
-        let rep = run_churn_rq(&small(), &Fabric::small(), &RqRunOptions::default());
+        let rep = run_churn(&small(), &Fabric::small(), &RqRunOptions::default());
         // The collector asserts per-endpoint completion; check shape.
-        assert_eq!(rep.flows.len(), 6, "one fetch record per session");
-        assert!(rep.fabric.reroutes >= 1, "churn must reroute");
-        assert_eq!(rep.timeouts, 0);
+        assert_eq!(rep.run.flows.len(), 6, "one fetch record per session");
+        assert!(rep.run.fabric.reroutes >= 1, "churn must reroute");
+        assert_eq!(rep.run.timeouts, 0);
         let c = rep.completion();
         assert!(c.p50_ns <= c.p99_ns && c.p99_ns <= c.max_ns);
     }
@@ -358,28 +219,36 @@ mod tests {
     #[test]
     fn churn_tcp_baseline_completes_and_is_deterministic() {
         let sc = small();
-        let a = run_churn_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
-        assert_eq!(a.flows.len(), 6, "stripes collapse to one op per session");
-        assert_eq!(a.stranded_sessions + a.retargeted_sessions, 0);
-        assert!(a.fabric.reroutes >= 1, "churn must reroute");
-        let b = run_churn_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
-        assert_eq!(a.fabric, b.fabric);
-        assert_eq!(a.timeouts, b.timeouts);
+        let a = run_churn(&sc, &Fabric::small(), &TcpRunOptions::default());
+        assert_eq!(
+            a.run.flows.len(),
+            6,
+            "stripes collapse to one op per session"
+        );
+        assert_eq!(
+            a.retargets.stranded_sessions + a.retargets.retargeted_sessions,
+            0
+        );
+        assert!(a.run.fabric.reroutes >= 1, "churn must reroute");
+        let b = run_churn(&sc, &Fabric::small(), &TcpRunOptions::default());
+        assert_eq!(a.run.fabric, b.run.fabric);
+        assert_eq!(a.run.timeouts, b.run.timeouts);
         // Same seeded plan as the Polyraptor run: the comparison is on
         // identical fault schedules.
-        let rq = run_churn_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let rq = run_churn(&sc, &Fabric::small(), &RqRunOptions::default());
         assert_eq!(a.fault_instants, rq.fault_instants);
         assert_eq!(a.host_failures, rq.host_failures);
     }
 
     #[test]
     fn churn_is_deterministic_per_seed() {
-        let a = run_churn_rq(&small(), &Fabric::small(), &RqRunOptions::default());
-        let b = run_churn_rq(&small(), &Fabric::small(), &RqRunOptions::default());
-        assert_eq!(a.fabric, b.fabric);
-        assert_eq!(a.stranded_sessions, b.stranded_sessions);
+        let a = run_churn(&small(), &Fabric::small(), &RqRunOptions::default());
+        let b = run_churn(&small(), &Fabric::small(), &RqRunOptions::default());
+        assert_eq!(a.run.fabric, b.run.fabric);
+        assert_eq!(a.retargets.stranded_sessions, b.retargets.stranded_sessions);
         let fp = |r: &ChurnReport| -> Vec<(u32, u64, u64)> {
-            r.flows
+            r.run
+                .flows
                 .iter()
                 .map(|f| (f.session, f.start.as_nanos(), f.finish.as_nanos()))
                 .collect()
@@ -392,24 +261,25 @@ mod tests {
         use crate::telemetry::TelemetryOptions;
         use netsim::SpanMark;
         let sc = small();
-        let base = run_churn_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-        assert!(base.telemetry.is_none(), "off by default");
+        let base = run_churn(&sc, &Fabric::small(), &RqRunOptions::default());
+        assert!(base.run.telemetry.is_none(), "off by default");
         let opts = RqRunOptions {
             telemetry: TelemetryOptions::enabled_default(),
             ..Default::default()
         };
-        let rec = run_churn_rq(&sc, &Fabric::small(), &opts);
+        let rec = run_churn(&sc, &Fabric::small(), &opts);
         // Recording must not perturb the run: identical fabric counters
         // and identical per-flow results.
-        assert_eq!(base.fabric, rec.fabric);
+        assert_eq!(base.run.fabric, rec.run.fabric);
         let fp = |r: &ChurnReport| -> Vec<(u32, u64, u64)> {
-            r.flows
+            r.run
+                .flows
                 .iter()
                 .map(|f| (f.session, f.start.as_nanos(), f.finish.as_nanos()))
                 .collect()
         };
         assert_eq!(fp(&base), fp(&rec));
-        let t = rec.telemetry.expect("enabled run records");
+        let t = rec.run.telemetry.expect("enabled run records");
         assert!(!t.recorder.buckets().is_empty(), "buckets sampled");
         let cats: Vec<&str> = t
             .recorder

@@ -17,16 +17,10 @@
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
-use netsim::{FaultPlan, NodeId, Pcg32, SimConfig, SimTime, Simulator, Topology};
-use polyraptor::PolyraptorAgent;
-use tcpsim::{conn_start_token, TcpAgent};
+use netsim::{FaultPlan, NodeId, SimTime, Topology};
 
-use crate::runner::{
-    build_rq_specs, build_tcp_conns, collect_rq_results, collect_tcp_results, install_rq, Fabric,
-    RqRunOptions, TcpRunOptions, TransferResult,
-};
+use crate::runner::{agent_stream, build_tcp_conns, Fabric, Run, RunOptions, RunReport, Transport};
 use crate::scenario::{LogicalSession, Pattern, StorageScenario, PAPER_LAMBDA_PER_HOST};
-use crate::telemetry::{gather_rq_spans, take_run_telemetry, RunTelemetry};
 
 /// Control-plane convergence after a detected failure: 25 ms covers
 /// failure detection plus route recomputation on a data-centre fabric.
@@ -208,30 +202,26 @@ impl FaultScenario {
     }
 }
 
-/// Everything a fault run reports: per-flow results plus the fabric's
-/// fault accounting (and, for TCP, the timeout count that explains the
-/// tail).
+/// Everything a fault run reports: the run's flows, fabric fault
+/// accounting and timeouts (which explain the TCP tail), plus where and
+/// when the failure struck.
 #[derive(Debug, Clone)]
 pub struct FaultRunReport {
-    /// Per-flow transfer results (one per replica for writes).
-    pub flows: Vec<TransferResult>,
-    /// Fabric counters: `lost_to_fault`, `reroutes`, `trees_repaired`…
-    pub fabric: netsim::FabricStats,
-    /// Total sender retransmission timeouts (TCP runs; 0 for Polyraptor,
-    /// which has no timeout-driven recovery to count).
-    pub timeouts: u64,
+    /// Flows (one per replica for writes), fabric counters
+    /// (`lost_to_fault`, `reroutes`, `trees_repaired`…), timeouts and
+    /// telemetry.
+    pub run: RunReport,
     /// The failed core switch.
     pub victim: NodeId,
     /// The absolute failure instant (`None` for healthy runs).
     pub fail_at: Option<SimTime>,
-    /// Recorded telemetry, when the run options enabled it.
-    pub telemetry: Option<RunTelemetry>,
 }
 
 impl FaultRunReport {
     /// When the last flow finished.
     pub fn makespan(&self) -> SimTime {
-        self.flows
+        self.run
+            .flows
             .iter()
             .map(|f| f.finish)
             .max()
@@ -240,7 +230,8 @@ impl FaultRunReport {
 
     /// Flows spanning `at` (in flight when the failure struck).
     pub fn in_flight_at(&self, at: SimTime) -> usize {
-        self.flows
+        self.run
+            .flows
             .iter()
             .filter(|f| f.start < at && f.finish > at)
             .count()
@@ -255,6 +246,7 @@ impl FaultRunReport {
             return Vec::new();
         };
         let mut lat: Vec<u64> = self
+            .run
             .flows
             .iter()
             .filter(|f| f.start < at && f.finish > at)
@@ -308,103 +300,41 @@ impl RecoveryStats {
     }
 }
 
-/// Run the fault scenario under Polyraptor (multicast replication,
-/// sprayed symbols). Every session must complete — rerouting plus coded
-/// repair is the claim under test — or the collector panics.
-pub fn run_fault_rq(sc: &FaultScenario, fabric: &Fabric, opts: &RqRunOptions) -> FaultRunReport {
-    let topo = fabric.build_with_policy(opts.policy);
-    let sessions = sc.storage().generate(&topo);
-    let fail_at = sc.fault_time_of(&topo, &sessions);
-    let victim = sc.victim_core_of(&topo, &sessions, fail_at);
-    let plan = sc.plan_at(&topo, victim, fail_at);
-    let mut sim_cfg = SimConfig::ndp(sc.seed ^ 0xFA17);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.layer_assign = opts.layer_assign;
-    sim_cfg.reroute_delay_ns = REROUTE_DELAY_NS;
-    let mut pr = opts.pr;
-    pr.record_spans |= opts.telemetry.enabled;
-    let mut sim: Simulator<_, PolyraptorAgent, _> =
-        Simulator::with_telemetry(topo, sim_cfg, opts.telemetry.recorder());
-    let hosts = sim.topology().hosts().to_vec();
-    let mut seed_rng = Pcg32::new(sc.seed ^ 0xA6E27);
-    for &h in &hosts {
-        let s = seed_rng.next_u64();
-        sim.set_agent(h, PolyraptorAgent::new(h, pr, s));
-    }
-    let specs = build_rq_specs(&mut sim, &sessions, Pattern::Write);
-    for spec in &specs {
-        install_rq(&mut sim, spec);
-    }
-    sim.schedule_faults(&plan);
-    sim.run_to_completion();
-    let flows = collect_rq_results(&sim, &sessions, Pattern::Write);
-    let spans = gather_rq_spans(&sim);
-    let telemetry = take_run_telemetry(&mut sim, spans);
+/// Run the fault scenario: 3-replica writes (multicast replication
+/// with sprayed symbols under Polyraptor, one ECMP-pinned connection per
+/// replica under TCP) with the busiest core switch failing mid-run.
+/// Every Polyraptor session must complete — rerouting plus coded repair
+/// is the claim under test — or the collector panics; TCP flows crossing
+/// the dead core recover by retransmission timeout, which is exactly the
+/// tail the report's `timeouts`/`makespan` expose.
+pub fn run_fault<C: Transport>(
+    sc: &FaultScenario,
+    fabric: &Fabric,
+    opts: &RunOptions<C>,
+) -> FaultRunReport {
+    let run = Run::new(
+        fabric,
+        opts,
+        sc.seed ^ 0xFA17,
+        REROUTE_DELAY_NS,
+        &mut agent_stream(sc.seed),
+    );
+    let topo = run.topology();
+    let sessions = sc.storage().generate(topo);
+    let fail_at = sc.fault_time_of(topo, &sessions);
+    let victim = sc.victim_core_of(topo, &sessions, fail_at);
+    let plan = sc.plan_at(topo, victim, fail_at);
     FaultRunReport {
-        flows,
-        fabric: sim.stats(),
-        timeouts: 0,
+        run: run.finish(&sessions, Pattern::Write, &plan).0,
         victim,
         fail_at,
-        telemetry,
-    }
-}
-
-/// Run the fault scenario under the TCP multi-unicast baseline: one
-/// ECMP-pinned connection per replica. Flows crossing the dead core
-/// recover by retransmission timeout, which is exactly the tail the
-/// report's `timeouts`/`makespan` expose.
-pub fn run_fault_tcp(sc: &FaultScenario, fabric: &Fabric, opts: &TcpRunOptions) -> FaultRunReport {
-    let topo = fabric.build_with_policy(opts.policy);
-    let sessions = sc.storage().generate(&topo);
-    let fail_at = sc.fault_time_of(&topo, &sessions);
-    let victim = sc.victim_core_of(&topo, &sessions, fail_at);
-    let plan = sc.plan_at(&topo, victim, fail_at);
-    let mut sim_cfg = SimConfig::classic(sc.seed ^ 0xFA17);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.reroute_delay_ns = REROUTE_DELAY_NS;
-    let mut sim: Simulator<_, TcpAgent, _> =
-        Simulator::with_telemetry(topo, sim_cfg, opts.telemetry.recorder());
-    let hosts = sim.topology().hosts().to_vec();
-    for &h in &hosts {
-        sim.set_agent(h, TcpAgent::new(h, opts.tcp));
-    }
-    let conns = build_tcp_conns(&sessions, Pattern::Write);
-    for c in &conns {
-        sim.agent_mut(c.sender).install(c.clone());
-        sim.agent_mut(c.receiver).install(c.clone());
-        sim.schedule_timer(c.sender, c.start, conn_start_token(c.id));
-    }
-    sim.schedule_faults(&plan);
-    sim.run_to_completion();
-    let timeouts: u64 = conns
-        .iter()
-        .map(|c| sim.agent(c.sender).sender(c.id).map_or(0, |s| s.timeouts))
-        .sum();
-    if timeouts > 0 {
-        // Timeouts mean work the fabric failed to carry — flag the
-        // anomaly so the flight recorder freezes the lead-up events.
-        sim.note_anomaly(netsim::AnomalyKind::Timeout);
-    }
-    let flows = collect_tcp_results(&sim, &sessions);
-    let telemetry = take_run_telemetry(&mut sim, Vec::new());
-    FaultRunReport {
-        flows,
-        fabric: sim.stats(),
-        timeouts,
-        victim,
-        fail_at,
-        telemetry,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{RqRunOptions, TcpRunOptions};
 
     fn small_scenario() -> FaultScenario {
         FaultScenario::fig1_failure(4, 128 << 10, 11)
@@ -423,11 +353,14 @@ mod tests {
     #[test]
     fn rq_survives_core_failure_on_small_fabric() {
         let sc = small_scenario();
-        let rep = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let rep = run_fault(&sc, &Fabric::small(), &RqRunOptions::default());
         // The collector asserts completion; spot-check the accounting.
-        assert!(rep.fabric.reroutes >= 1, "failure must trigger a reroute");
-        assert_eq!(rep.flows.len(), 4 * 3, "one flow per replica");
-        for f in &rep.flows {
+        assert!(
+            rep.run.fabric.reroutes >= 1,
+            "failure must trigger a reroute"
+        );
+        assert_eq!(rep.run.flows.len(), 4 * 3, "one flow per replica");
+        for f in &rep.run.flows {
             assert!(f.goodput_gbps() > 0.0);
         }
     }
@@ -435,21 +368,21 @@ mod tests {
     #[test]
     fn healthy_variant_runs_without_faults() {
         let sc = small_scenario().healthy();
-        let rep = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-        assert_eq!(rep.fabric.reroutes, 0);
-        assert_eq!(rep.fabric.lost_to_fault, 0);
+        let rep = run_fault(&sc, &Fabric::small(), &RqRunOptions::default());
+        assert_eq!(rep.run.fabric.reroutes, 0);
+        assert_eq!(rep.run.fabric.lost_to_fault, 0);
     }
 
     #[test]
     fn tcp_counts_timeouts_under_failure() {
         let sc = small_scenario();
-        let faulted = run_fault_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
-        let healthy = run_fault_tcp(&sc.healthy(), &Fabric::small(), &TcpRunOptions::default());
+        let faulted = run_fault(&sc, &Fabric::small(), &TcpRunOptions::default());
+        let healthy = run_fault(&sc.healthy(), &Fabric::small(), &TcpRunOptions::default());
         assert!(
-            faulted.timeouts > healthy.timeouts,
+            faulted.run.timeouts > healthy.run.timeouts,
             "core failure must cost the pinned baseline timeouts ({} vs {})",
-            faulted.timeouts,
-            healthy.timeouts
+            faulted.run.timeouts,
+            healthy.run.timeouts
         );
         assert!(faulted.makespan() > healthy.makespan());
     }
@@ -457,7 +390,7 @@ mod tests {
     #[test]
     fn recovery_stats_cover_in_flight_flows() {
         let sc = small_scenario();
-        let rep = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let rep = run_fault(&sc, &Fabric::small(), &RqRunOptions::default());
         let stats = rep.recovery().expect("faulted run has recovery stats");
         assert_eq!(stats.flows, rep.in_flight_at(rep.fail_at.unwrap()));
         assert!(stats.p50_ns <= stats.p99_ns && stats.p99_ns <= stats.max_ns);
@@ -467,7 +400,7 @@ mod tests {
             "max is the completion tail"
         );
         // Healthy runs have no failure instant, hence no recovery tail.
-        let healthy = run_fault_rq(&sc.healthy(), &Fabric::small(), &RqRunOptions::default());
+        let healthy = run_fault(&sc.healthy(), &Fabric::small(), &RqRunOptions::default());
         assert!(healthy.recovery().is_none());
     }
 
@@ -477,10 +410,10 @@ mod tests {
         // fault run with batching disabled (legacy one-nudge-per-sweep)
         // must show a strictly worse post-fault completion tail.
         let sc = small_scenario();
-        let batched = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let batched = run_fault(&sc, &Fabric::small(), &RqRunOptions::default());
         let mut legacy_opts = RqRunOptions::default();
-        legacy_opts.pr.repull_batch_cap = 0;
-        let legacy = run_fault_rq(&sc, &Fabric::small(), &legacy_opts);
+        legacy_opts.transport.repull_batch_cap = 0;
+        let legacy = run_fault(&sc, &Fabric::small(), &legacy_opts);
         let b = batched.recovery().expect("faulted run").max_ns;
         let l = legacy.recovery().expect("faulted run").max_ns;
         assert!(
@@ -495,14 +428,14 @@ mod tests {
         // Recover well after the convergence window so the down and up
         // events trigger two distinct recomputations.
         sc.recover_after_frac = Some(30.0);
-        let rep = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-        assert_eq!(rep.fabric.reroutes, 2, "down and up both reroute");
+        let rep = run_fault(&sc, &Fabric::small(), &RqRunOptions::default());
+        assert_eq!(rep.run.fabric.reroutes, 2, "down and up both reroute");
     }
 
     #[test]
     fn failure_strikes_mid_transfer() {
         let sc = small_scenario();
-        let rep = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let rep = run_fault(&sc, &Fabric::small(), &RqRunOptions::default());
         let at = rep.fail_at.expect("faulted run");
         assert!(
             rep.in_flight_at(at) >= 1,

@@ -8,10 +8,10 @@
 //! them for their whole lifetime — the "embracing path redundancy"
 //! claim, made measurable.
 
-use netsim::{FaultAction, FaultPlan, NodeKind, Pcg32, SimTime, Simulator};
-use polyraptor::{PolyraptorAgent, SessionId, SessionSpec};
+use netsim::{FaultAction, FaultPlan, NodeKind, Pcg32, SimTime};
 
-use crate::runner::{install_rq, Fabric, RqRunOptions, TransferResult};
+use crate::runner::{Fabric, Run, RunOptions, RunReport, Transport};
+use crate::scenario::{LogicalSession, Pattern};
 
 /// Hotspot scenario parameters.
 #[derive(Debug, Clone, Copy)]
@@ -31,50 +31,43 @@ pub struct HotspotScenario {
     pub seed: u64,
 }
 
-/// Run the hotspot scenario under Polyraptor with the given options;
-/// returns per-transfer results.
-pub fn run_hotspot_rq(
+/// Run the hotspot scenario: `transfers` disjoint unicast transfers,
+/// all starting together, over a fabric with a random subset of its
+/// inter-switch links degraded from t = 0.
+pub fn run_hotspot<C: Transport>(
     scenario: &HotspotScenario,
     fabric: &Fabric,
-    opts: &RqRunOptions,
-) -> Vec<TransferResult> {
-    let topo = fabric.build_with_policy(opts.policy);
+    opts: &RunOptions<C>,
+) -> RunReport {
+    // One stream, drawn in this order: agent seeds, degraded-link picks,
+    // the host shuffle.
+    let mut rng = Pcg32::new(scenario.seed ^ 0x5077);
+    let run = Run::new(fabric, opts, scenario.seed ^ 0x407, 0, &mut rng);
+    let topo = run.topology();
     let hosts = topo.hosts().to_vec();
     assert!(
         hosts.len() >= 2 * scenario.transfers,
         "need disjoint host pairs"
     );
-    let mut sim_cfg = netsim::SimConfig::ndp(scenario.seed ^ 0x407);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.layer_assign = opts.layer_assign;
-    let mut sim: Simulator<_, PolyraptorAgent> = Simulator::new(topo, sim_cfg);
-    let mut rng = Pcg32::new(scenario.seed ^ 0x5077);
-    for &h in &hosts {
-        let s = rng.next_u64();
-        sim.set_agent(h, PolyraptorAgent::new(h, opts.pr, s));
-    }
 
     // Degrade a random subset of inter-switch links, expressed as a
     // FaultPlan applied at t = 0 — the single rate-override code path
     // shared with the fault scenarios. A zero target rate becomes a
     // *detected* LinkDown (flush + reroute); anything else a silent
     // RateChange (both act on both directions of the link).
-    let node_count = sim.topology().node_count();
     let mut plan = FaultPlan::new();
     let mut degraded = 0usize;
     let mut total_fabric_links = 0usize;
-    for n in 0..node_count as u32 {
+    for n in 0..topo.node_count() as u32 {
         let node = netsim::NodeId(n);
-        if sim.topology().kind(node) != NodeKind::Switch {
+        if topo.kind(node) != NodeKind::Switch {
             continue;
         }
-        for (p, port) in sim.topology().node_ports(node).iter().enumerate() {
+        for (p, port) in topo.node_ports(node).iter().enumerate() {
             // Count each undirected link once (lower node id owns it)
             // and only switch-switch links (host links are the flows'
             // own bottleneck, not a "hotspot").
-            if sim.topology().kind(port.peer) != NodeKind::Switch || port.peer.0 < n {
+            if topo.kind(port.peer) != NodeKind::Switch || port.peer.0 < n {
                 continue;
             }
             total_fabric_links += 1;
@@ -102,51 +95,28 @@ pub fn run_hotspot_rq(
         scenario.degraded_frac,
         total_fabric_links
     );
-    sim.schedule_faults(&plan);
 
     // Disjoint random pairs, all starting together (worst case for
     // pinned paths: no chance to average over flows).
-    let mut shuffled = hosts.clone();
+    let mut shuffled = hosts;
     rng.shuffle(&mut shuffled);
-    let mut specs = Vec::new();
-    for i in 0..scenario.transfers {
-        let spec = SessionSpec::unicast(
-            SessionId(i as u32),
-            scenario.object_bytes,
-            shuffled[2 * i],
-            shuffled[2 * i + 1],
-            SimTime::ZERO,
-        );
-        specs.push(spec);
-    }
-    for spec in &specs {
-        install_rq(&mut sim, spec);
-    }
-    sim.run_to_completion();
-
-    specs
-        .iter()
-        .map(|spec| {
-            let rec = sim
-                .agent(spec.receivers[0])
-                .records
-                .iter()
-                .find(|r| r.session == spec.id)
-                .expect("transfer completed");
-            TransferResult {
-                session: spec.id.0,
-                bytes: rec.data_len,
-                start: rec.start,
-                finish: rec.finish,
-                background: false,
-            }
+    let sessions: Vec<LogicalSession> = (0..scenario.transfers)
+        .map(|i| LogicalSession {
+            index: i as u32,
+            client: shuffled[2 * i],
+            replicas: vec![shuffled[2 * i + 1]],
+            bytes: scenario.object_bytes,
+            start: SimTime::ZERO,
+            background: false,
         })
-        .collect()
+        .collect();
+    run.finish(&sessions, Pattern::Write, &plan).0
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::RqRunOptions;
     use crate::stats::RankCurve;
     use netsim::RouteMode;
 
@@ -162,7 +132,7 @@ mod tests {
 
     #[test]
     fn healthy_fabric_baseline() {
-        let res = run_hotspot_rq(&scenario(0.0), &Fabric::small(), &RqRunOptions::default());
+        let res = run_hotspot(&scenario(0.0), &Fabric::small(), &RqRunOptions::default()).flows;
         let c = RankCurve::new(res.iter().map(|r| r.goodput_gbps()).collect());
         assert!(c.median() > 0.7, "healthy fabric median {}", c.median());
     }
@@ -171,7 +141,7 @@ mod tests {
     fn spray_routes_around_hotspots() {
         // 30% of fabric links at 10% rate: sprayed transfers degrade
         // gracefully (bounded by the average path capacity)…
-        let spray = run_hotspot_rq(&scenario(0.3), &Fabric::small(), &RqRunOptions::default());
+        let spray = run_hotspot(&scenario(0.3), &Fabric::small(), &RqRunOptions::default()).flows;
         let spray_curve = RankCurve::new(spray.iter().map(|r| r.goodput_gbps()).collect());
         // …while per-flow ECMP pins some flows onto slow paths for their
         // whole lifetime, cratering the tail.
@@ -179,7 +149,7 @@ mod tests {
             route: RouteMode::EcmpFlow,
             ..Default::default()
         };
-        let ecmp = run_hotspot_rq(&scenario(0.3), &Fabric::small(), &ecmp_opts);
+        let ecmp = run_hotspot(&scenario(0.3), &Fabric::small(), &ecmp_opts).flows;
         let ecmp_curve = RankCurve::new(ecmp.iter().map(|r| r.goodput_gbps()).collect());
         let spray_worst = spray_curve.at(spray_curve.len() - 1);
         let ecmp_worst = ecmp_curve.at(ecmp_curve.len() - 1);
@@ -201,7 +171,7 @@ mod tests {
             degraded_rate_frac: 0.0,
             seed: 3,
         };
-        let res = run_hotspot_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let res = run_hotspot(&sc, &Fabric::small(), &RqRunOptions::default()).flows;
         assert_eq!(
             res.len(),
             4,

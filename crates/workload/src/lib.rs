@@ -16,9 +16,10 @@
 //!   surviving replicas and completion/recovery percentiles;
 //! * [`hotspot`] — silent mid-fabric rate degradation, spraying vs.
 //!   per-flow ECMP;
-//! * [`runner`] — mapping logical sessions onto Polyraptor
-//!   (multicast / multi-source) or TCP (multi-unicast / partitioned
-//!   fetch) simulations and aggregating per-session goodput;
+//! * [`runner`] — the one run pipeline every scenario goes through:
+//!   fabric build, simulator, agents, session install (Polyraptor
+//!   multicast / multi-source, or TCP multi-unicast / partitioned
+//!   fetch), faults, run, and a [`RunReport`] of per-flow results;
 //! * [`stats`] — rank curves (Figures 1a/1b) and mean ± 95 % CI over
 //!   seeded repetitions (Figure 1c's error bars);
 //! * [`csv`] — plain CSV emission for the figure binaries;
@@ -38,13 +39,13 @@ pub mod scenario;
 pub mod stats;
 pub mod telemetry;
 
-pub use churn::{run_churn_rq, run_churn_tcp, ChurnReport, ChurnScenario};
-pub use fault::{run_fault_rq, run_fault_tcp, FaultRunReport, FaultScenario, RecoveryStats};
-pub use hotspot::{run_hotspot_rq, HotspotScenario};
+pub use churn::{run_churn, ChurnReport, ChurnScenario};
+pub use fault::{run_fault, FaultRunReport, FaultScenario, RecoveryStats};
+pub use hotspot::{run_hotspot, HotspotScenario};
 pub use runner::{
-    build_rq_specs, build_tcp_conns, foreground_goodputs, install_rq, op_results, run_incast_rq,
-    run_incast_tcp, run_storage_rq, run_storage_tcp, stripe, Fabric, RqRunOptions, TcpRunOptions,
-    TransferResult,
+    build_rq_specs, build_tcp_conns, foreground_goodputs, install_rq, op_results, run_incast,
+    run_storage, stripe, Fabric, Retargets, RqRunOptions, RunFlags, RunOptions, RunReport, RunSim,
+    TcpRunOptions, TransferResult, Transport,
 };
 pub use scenario::{IncastScenario, LogicalSession, Pattern, StorageScenario};
 pub use stats::{mean, mean_ci95, std_dev, RankCurve};

@@ -1,18 +1,32 @@
-//! Experiment runners: map logical scenarios onto Polyraptor or TCP
-//! simulations, run them to completion, and aggregate per-session
-//! goodput the way the paper plots it.
+//! The run pipeline: every experiment — storage, Incast, fault, churn,
+//! hotspot — under every transport goes through one set-up path.
+//!
+//! ```text
+//! fabric + policy ─► SimConfig ─► agents ─► workload install
+//!     ─► FaultPlan + host notifications ─► run ─► RunReport
+//! ```
+//!
+//! [`RunOptions`] carries the knobs, generic over the transport's
+//! configuration ([`PrConfig`] or [`TcpConfig`]); the [`Transport`]
+//! trait supplies the per-transport defaults, agents, session install
+//! and result collection. A scenario keeps only what is its own: its
+//! seed salt, its session placement, its fault plan and the shape of
+//! its report.
 
 use std::collections::BTreeMap;
 
 use netsim::{
-    LayerAssign, NodeId, Pcg32, QueueConfig, RouteMode, RoutingPolicy, SimConfig, SimTime,
-    Simulator, Topology,
+    Agent, AnomalyKind, FabricStats, FaultPlan, FlowSpanEvent, NodeId, Pcg32, QueueConfig,
+    Recorder, RouteMode, RoutingPolicy, SimConfig, SimPayload, SimTime, Simulator, Topology,
 };
-use polyraptor::{start_token, PolyraptorAgent, PrConfig, SessionId, SessionSpec};
-use tcpsim::{conn_start_token, ConnId, ConnSpec, TcpAgent, TcpConfig};
+use polyraptor::{
+    host_fail_token, host_up_token, start_token, PolyraptorAgent, PrConfig, PrPayload, SessionId,
+    SessionSpec,
+};
+use tcpsim::{conn_start_token, ConnId, ConnSpec, TcpAgent, TcpConfig, TcpPayload};
 
 use crate::scenario::{IncastScenario, LogicalSession, Pattern, StorageScenario};
-use crate::telemetry::TelemetryOptions;
+use crate::telemetry::{RunTelemetry, TelemetryOptions};
 
 /// The simulated fabric: shape plus link parameters. The paper
 /// evaluates on a fat-tree; leaf–spine and Jellyfish variants exist so
@@ -125,14 +139,21 @@ impl Fabric {
         }
     }
 
-    /// Build the routed topology.
+    /// Build the routed topology (single-layer minimal routes).
     pub fn build(&self) -> Topology {
-        match *self {
+        self.build_routed(RoutingPolicy::minimal(), 1)
+    }
+
+    /// Build the topology and compute its routes once, under `policy`
+    /// with `parallelism` route-computation threads (see
+    /// [`Topology::set_parallelism`]).
+    pub(crate) fn build_routed(&self, policy: RoutingPolicy, parallelism: usize) -> Topology {
+        let mut topo = match *self {
             Self::FatTree {
                 k,
                 rate_bps,
                 prop_ns,
-            } => Topology::fat_tree(k, rate_bps, prop_ns),
+            } => Topology::fat_tree_graph(k, rate_bps, prop_ns),
             Self::LeafSpine {
                 leaves,
                 spines,
@@ -140,7 +161,14 @@ impl Fabric {
                 oversub,
                 rate_bps,
                 prop_ns,
-            } => Topology::leaf_spine(leaves, spines, hosts_per_leaf, oversub, rate_bps, prop_ns),
+            } => Topology::leaf_spine_graph(
+                leaves,
+                spines,
+                hosts_per_leaf,
+                oversub,
+                rate_bps,
+                prop_ns,
+            ),
             Self::Jellyfish {
                 switches,
                 net_degree,
@@ -148,7 +176,7 @@ impl Fabric {
                 rate_bps,
                 prop_ns,
                 seed,
-            } => Topology::jellyfish(
+            } => Topology::jellyfish_graph(
                 switches,
                 net_degree,
                 hosts_per_switch,
@@ -156,18 +184,10 @@ impl Fabric {
                 prop_ns,
                 seed,
             ),
-        }
-    }
-
-    /// Build the routed topology under a layered routing policy
-    /// (recomputes routes only when the policy differs from the builder
-    /// default — single-layer minimal).
-    pub fn build_with_policy(&self, policy: RoutingPolicy) -> Topology {
-        let mut topo = self.build();
-        if policy != RoutingPolicy::minimal() {
-            topo.set_policy(policy);
-            topo.compute_routes();
-        }
+        };
+        topo.set_policy(policy);
+        topo.set_parallelism(parallelism);
+        topo.compute_routes();
         topo
     }
 
@@ -271,34 +291,36 @@ pub fn op_results(flows: &[TransferResult], object_bytes: usize) -> Vec<Transfer
 }
 
 // ---------------------------------------------------------------------------
-// Polyraptor runner
+// Options
 // ---------------------------------------------------------------------------
 
-/// Polyraptor-side knobs for a run.
+/// The knobs of one run, generic over the transport's configuration
+/// ([`PrConfig`] for Polyraptor, [`TcpConfig`] for the TCP baseline).
+/// Every runner honours every field.
 #[derive(Debug, Clone, Copy)]
-pub struct RqRunOptions {
-    /// Protocol configuration.
-    pub pr: PrConfig,
-    /// Switch queue (default NDP trimming).
+pub struct RunOptions<C> {
+    /// Transport protocol parameters.
+    pub transport: C,
+    /// Switch queue (default: the transport's — NDP trimming for
+    /// Polyraptor, deep drop-tail for TCP).
     pub switch_queue: QueueConfig,
-    /// Path selection (default per-packet spraying).
+    /// Path selection (default: the transport's — per-packet spraying
+    /// for Polyraptor, per-flow ECMP for TCP).
     pub route: RouteMode,
     /// Layered routing policy (default single-layer minimal/ECMP;
     /// `RoutingPolicy::layered(n, seed)` adds FatPaths-style
     /// path-diversity layers, useful on Jellyfish fabrics where minimal
     /// path diversity is structurally low).
     pub policy: RoutingPolicy,
-    /// Flow→layer assignment strategy (default hash-per-flow; only
-    /// meaningful with a multi-layer policy).
-    pub layer_assign: LayerAssign,
-    /// Telemetry recording (default off). Honoured by the fault and
-    /// churn runners, which attach a [`crate::RunTelemetry`] to their
-    /// reports; enabling it also turns on the agents' flow spans.
+    /// Telemetry recording (default off). When enabled the report
+    /// carries a [`RunTelemetry`], and agents that keep flow spans
+    /// record them.
     pub telemetry: TelemetryOptions,
     /// Route-computation worker threads (0 = available cores, 1 =
-    /// serial, the default). Reports are byte-identical per seed at
-    /// every setting — route tables are computed by pure per-column
-    /// work — so this is purely a wall-clock knob for large fabrics.
+    /// serial, the default), for the initial build and every mid-run
+    /// reroute. Reports are byte-identical per seed at every setting —
+    /// route tables are computed by pure per-column work — so this is
+    /// purely a wall-clock knob for large fabrics.
     pub parallelism: usize,
     /// Event-loop shards (0 = available cores, 1 = the serial loop,
     /// the default). Like `parallelism`, byte-identical per seed at
@@ -307,14 +329,19 @@ pub struct RqRunOptions {
     pub shards: usize,
 }
 
-impl Default for RqRunOptions {
+/// Polyraptor run options.
+pub type RqRunOptions = RunOptions<PrConfig>;
+
+/// TCP-baseline run options.
+pub type TcpRunOptions = RunOptions<TcpConfig>;
+
+impl<C: Transport> Default for RunOptions<C> {
     fn default() -> Self {
         Self {
-            pr: PrConfig::paper_default(),
-            switch_queue: QueueConfig::NDP_DEFAULT,
-            route: RouteMode::Spray,
+            transport: C::default(),
+            switch_queue: C::SWITCH_QUEUE,
+            route: C::ROUTE,
             policy: RoutingPolicy::minimal(),
-            layer_assign: LayerAssign::FlowHash,
             telemetry: TelemetryOptions::default(),
             parallelism: 1,
             shards: 1,
@@ -322,39 +349,433 @@ impl Default for RqRunOptions {
     }
 }
 
-/// Run a storage scenario under Polyraptor and aggregate per-session
-/// results. `pattern` Write ⇒ multicast replication; Read ⇒ multi-source
-/// fetch. Background sessions are unicast writes to the session's first
-/// replica.
-pub fn run_storage_rq(
-    scenario: &StorageScenario,
-    fabric: &Fabric,
-    opts: &RqRunOptions,
-) -> Vec<TransferResult> {
-    let topo = fabric.build_with_policy(opts.policy);
-    let sessions = scenario.generate(&topo);
-    let mut sim_cfg = SimConfig::ndp(scenario.seed ^ 0xFAB);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.shards = opts.shards;
-    sim_cfg.layer_assign = opts.layer_assign;
-    let mut sim: Simulator<_, PolyraptorAgent> = Simulator::new(topo, sim_cfg);
-
-    let hosts = sim.topology().hosts().to_vec();
-    let mut seed_rng = Pcg32::new(scenario.seed ^ 0xA6E27);
-    for &h in &hosts {
-        let s = seed_rng.next_u64();
-        sim.set_agent(h, PolyraptorAgent::new(h, opts.pr, s));
-    }
-
-    let specs = build_rq_specs(&mut sim, &sessions, scenario.pattern);
-    for spec in &specs {
-        install_rq(&mut sim, spec);
-    }
-    sim.run_to_completion();
-    collect_rq_results(&sim, &sessions, scenario.pattern)
+/// The run knobs the command-line shells accept: `--par N`
+/// ([`RunOptions::parallelism`]), `--shards N` ([`RunOptions::shards`])
+/// and `--telemetry`. Both counts default to 1 and take 0 for "one per
+/// available core"; per-seed results are byte-identical at every
+/// setting, so the counts change only wall-clock time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunFlags {
+    /// `--par N`: route-computation worker threads.
+    pub parallelism: usize,
+    /// `--shards N`: event-loop shards.
+    pub shards: usize,
+    /// `--telemetry`: record the runs the shell writes artefacts for.
+    pub telemetry: bool,
 }
+
+impl RunFlags {
+    /// Read the flags out of `args`, ignoring every other argument.
+    ///
+    /// # Panics
+    /// Panics when `--par` or `--shards` lacks a numeric value.
+    pub fn parse(args: &[String]) -> Self {
+        let count = |flag: &str| {
+            args.iter().position(|a| a == flag).map_or(1, |i| {
+                args.get(i + 1)
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| panic!("{flag} takes a count"))
+            })
+        };
+        Self {
+            parallelism: count("--par"),
+            shards: count("--shards"),
+            telemetry: args.iter().any(|a| a == "--telemetry"),
+        }
+    }
+
+    /// Default options at the parsed thread and shard counts.
+    pub fn options<C: Transport>(&self) -> RunOptions<C> {
+        RunOptions {
+            parallelism: self.parallelism,
+            shards: self.shards,
+            ..Default::default()
+        }
+    }
+
+    /// [`RunFlags::options`], recording as well when `--telemetry` was
+    /// given.
+    pub fn recorded<C: Transport>(&self) -> RunOptions<C> {
+        let mut opts = self.options();
+        opts.telemetry.enabled = self.telemetry;
+        opts
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Transports
+// ---------------------------------------------------------------------------
+
+/// The simulator every run drives: telemetry is switchable at run time
+/// (`None` costs one always-false boundary comparison per event).
+pub type RunSim<C> =
+    Simulator<<C as Transport>::Payload, <C as Transport>::Agent, Option<Recorder>>;
+
+/// A transport the run pipeline can drive: its fabric defaults, its host
+/// agent, how logical sessions become its sessions, and what it reports
+/// back. Implemented by the transports' configuration types.
+pub trait Transport: Copy + Default {
+    /// Wire payload.
+    type Payload: SimPayload + Send;
+    /// Per-host agent.
+    type Agent: Agent<Self::Payload> + Send;
+    /// Default switch queue.
+    const SWITCH_QUEUE: QueueConfig;
+    /// Default path selection.
+    const ROUTE: RouteMode;
+
+    /// The agent for `host`. `seed` is the host's draw from the run's
+    /// agent stream — every transport consumes one, so later draws from
+    /// a shared stream line up across transports; `spans` turns on flow
+    /// spans for a recorded run.
+    fn agent(&self, host: NodeId, seed: u64, spans: bool) -> Self::Agent;
+
+    /// Install `sessions` at their endpoints and schedule their starts.
+    fn install(sim: &mut RunSim<Self>, sessions: &[LogicalSession], pattern: Pattern);
+
+    /// Per-flow results, sorted by session.
+    ///
+    /// # Panics
+    /// Panics if any session did not complete.
+    fn collect(
+        sim: &RunSim<Self>,
+        sessions: &[LogicalSession],
+        pattern: Pattern,
+    ) -> Vec<TransferResult>;
+
+    /// Tell `client` at `at` that `host` died (`up == false`) or
+    /// revived. Transports without session re-target ignore it.
+    fn notify(_sim: &mut RunSim<Self>, _client: NodeId, _at: SimTime, _host: NodeId, _up: bool) {}
+
+    /// Sender retransmission timeouts summed over every host (0 for
+    /// transports whose recovery is pull-paced, never timer-paced).
+    fn timeouts(_sim: &RunSim<Self>) -> u64 {
+        0
+    }
+
+    /// Session re-target counters summed over every host.
+    fn retargets(_sim: &RunSim<Self>) -> Retargets {
+        Retargets::default()
+    }
+
+    /// Flow spans from every agent, time-sorted.
+    fn spans(_sim: &RunSim<Self>) -> Vec<FlowSpanEvent> {
+        Vec::new()
+    }
+}
+
+/// Polyraptor: multicast replication (Write), multi-source fetch (Read);
+/// background sessions are unicast writes to the session's first
+/// replica.
+impl Transport for PrConfig {
+    type Payload = PrPayload;
+    type Agent = PolyraptorAgent;
+    const SWITCH_QUEUE: QueueConfig = QueueConfig::NDP_DEFAULT;
+    const ROUTE: RouteMode = RouteMode::Spray;
+
+    fn agent(&self, host: NodeId, seed: u64, spans: bool) -> PolyraptorAgent {
+        let mut cfg = *self;
+        cfg.record_spans |= spans;
+        PolyraptorAgent::new(host, cfg, seed)
+    }
+
+    fn install(sim: &mut RunSim<Self>, sessions: &[LogicalSession], pattern: Pattern) {
+        for spec in build_rq_specs(sim, sessions, pattern) {
+            install_rq(sim, &spec);
+        }
+    }
+
+    fn collect(
+        sim: &RunSim<Self>,
+        sessions: &[LogicalSession],
+        pattern: Pattern,
+    ) -> Vec<TransferResult> {
+        // One result per receiver-side record — the paper's "transport
+        // session (flow)" unit: each replica of a write is its own flow.
+        let mut flows: Vec<TransferResult> = Vec::new();
+        let mut per_session: BTreeMap<u32, usize> = BTreeMap::new();
+        for (_, agent) in sim.agents() {
+            for rec in &agent.records {
+                *per_session.entry(rec.session.0).or_insert(0) += 1;
+                flows.push(TransferResult {
+                    session: rec.session.0,
+                    bytes: rec.data_len,
+                    start: rec.start,
+                    finish: rec.finish,
+                    background: rec.background,
+                });
+            }
+        }
+        // Every session must have completed at every endpoint.
+        for ls in sessions {
+            let expected = expected_rq_records(ls, pattern);
+            let got = per_session.get(&ls.index).copied().unwrap_or(0);
+            assert_eq!(
+                got, expected,
+                "session {} incomplete ({got}/{expected})",
+                ls.index
+            );
+        }
+        flows.sort_by_key(|f| f.session);
+        flows
+    }
+
+    fn notify(sim: &mut RunSim<Self>, client: NodeId, at: SimTime, host: NodeId, up: bool) {
+        let token = if up {
+            host_up_token(host)
+        } else {
+            host_fail_token(host)
+        };
+        sim.schedule_timer(client, at, token);
+    }
+
+    fn retargets(sim: &RunSim<Self>) -> Retargets {
+        let mut r = Retargets::default();
+        for (_, agent) in sim.agents() {
+            r.stranded_sessions += agent.stranded_sessions;
+            r.retargeted_sessions += agent.retargeted_sessions;
+            r.unstranded_sessions += agent.unstranded_sessions;
+            r.retarget_symbols += agent
+                .records
+                .iter()
+                .map(|rec| rec.retarget_symbols)
+                .sum::<u64>();
+        }
+        r
+    }
+
+    fn spans(sim: &RunSim<Self>) -> Vec<FlowSpanEvent> {
+        // Stable sort: ties keep the agents' deterministic node order.
+        let mut spans: Vec<FlowSpanEvent> = sim
+            .agents()
+            .flat_map(|(_, a)| a.spans.iter().copied())
+            .collect();
+        spans.sort_by_key(|s| s.at.as_nanos());
+        spans
+    }
+}
+
+/// The TCP baseline, emulating the paper's: Write ⇒ multi-unicast (the
+/// client sends one full copy per replica); Read ⇒ partitioned fetch
+/// (each replica returns `1/R` of the object, no coordination).
+/// Background sessions are single connections.
+impl Transport for TcpConfig {
+    type Payload = TcpPayload;
+    type Agent = TcpAgent;
+    const SWITCH_QUEUE: QueueConfig = QueueConfig::DROPTAIL_DEFAULT;
+    const ROUTE: RouteMode = RouteMode::EcmpFlow;
+
+    fn agent(&self, host: NodeId, _seed: u64, _spans: bool) -> TcpAgent {
+        TcpAgent::new(host, *self)
+    }
+
+    fn install(sim: &mut RunSim<Self>, sessions: &[LogicalSession], pattern: Pattern) {
+        for c in build_tcp_conns(sessions, pattern) {
+            sim.agent_mut(c.sender).install(c.clone());
+            sim.agent_mut(c.receiver).install(c.clone());
+            sim.schedule_timer(c.sender, c.start, conn_start_token(c.id));
+        }
+    }
+
+    fn collect(
+        sim: &RunSim<Self>,
+        sessions: &[LogicalSession],
+        _pattern: Pattern,
+    ) -> Vec<TransferResult> {
+        // One result per connection — each copy/stripe is its own flow,
+        // mirroring the Polyraptor accounting.
+        let mut flows: Vec<TransferResult> = Vec::new();
+        let mut per_session: BTreeMap<u32, usize> = BTreeMap::new();
+        for (_, agent) in sim.agents() {
+            for rec in &agent.records {
+                *per_session.entry(rec.session).or_insert(0) += 1;
+                flows.push(TransferResult {
+                    session: rec.session,
+                    bytes: rec.bytes as usize,
+                    start: rec.start,
+                    finish: rec.finish,
+                    background: rec.background,
+                });
+            }
+        }
+        for ls in sessions {
+            assert!(
+                per_session.get(&ls.index).copied().unwrap_or(0) > 0,
+                "TCP session {} never completed",
+                ls.index
+            );
+        }
+        flows.sort_by_key(|f| f.session);
+        flows
+    }
+
+    fn timeouts(sim: &RunSim<Self>) -> u64 {
+        sim.agents().map(|(_, a)| a.timeouts()).sum()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The pipeline
+// ---------------------------------------------------------------------------
+
+/// What every run reports.
+#[derive(Debug, Clone)]
+pub struct RunReport {
+    /// Per-flow transfer results, sorted by session.
+    pub flows: Vec<TransferResult>,
+    /// Fabric counters: deliveries, trims, `lost_to_fault`, `reroutes`…
+    pub fabric: FabricStats,
+    /// Sender retransmission timeouts (TCP; structurally 0 for
+    /// Polyraptor, whose recovery is pull-paced, never timer-paced).
+    pub timeouts: u64,
+    /// Recorded telemetry, when the run options enabled it.
+    pub telemetry: Option<RunTelemetry>,
+}
+
+/// Session re-target counters, summed over every agent (all zero for
+/// the TCP baseline, which has no re-target).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Retargets {
+    /// (session, dead sender) strandings observed across all clients.
+    pub stranded_sessions: u64,
+    /// Strandings re-targeted at a surviving replica.
+    pub retargeted_sessions: u64,
+    /// Strandings undone by a host-revival notification: the revived
+    /// sender was re-admitted to a still-open session (no credit is
+    /// minted across the strand/revive boundary).
+    pub unstranded_sessions: u64,
+    /// Symbols re-pulled from survivors on re-target, summed over all
+    /// sessions (each bounded by its decode's remaining need).
+    pub retarget_symbols: u64,
+}
+
+/// Salt of the agent-seed stream every scenario but the hotspot one
+/// draws from.
+const AGENT_SALT: u64 = 0xA6E27;
+
+/// The agent-seed stream of a scenario seeded with `seed`.
+pub(crate) fn agent_stream(seed: u64) -> Pcg32 {
+    Pcg32::new(seed ^ AGENT_SALT)
+}
+
+/// One run between set-up and report: the routed fabric, the simulator
+/// and its agents, waiting for the scenario's workload.
+pub(crate) struct Run<C: Transport> {
+    sim: RunSim<C>,
+    reroute_delay_ns: u64,
+}
+
+impl<C: Transport> Run<C> {
+    /// Build the fabric (policy and thread count set before its one
+    /// route computation), the simulator over it, and one agent per host
+    /// seeded in host order from `agents`. `seed` is the scenario's
+    /// salted simulator seed; `reroute_delay_ns` the control plane's
+    /// convergence window.
+    pub(crate) fn new(
+        fabric: &Fabric,
+        opts: &RunOptions<C>,
+        seed: u64,
+        reroute_delay_ns: u64,
+        agents: &mut Pcg32,
+    ) -> Self {
+        let topo = fabric.build_routed(opts.policy, opts.parallelism);
+        // The ndp and classic profiles differ only in the fields the
+        // options set, so this is either transport's fabric.
+        let config = SimConfig {
+            switch_queue: opts.switch_queue,
+            route: opts.route,
+            reroute_delay_ns,
+            parallelism: opts.parallelism,
+            shards: opts.shards,
+            ..SimConfig::ndp(seed)
+        };
+        let mut sim = Simulator::with_telemetry(topo, config, opts.telemetry.recorder());
+        for h in sim.topology().hosts().to_vec() {
+            let agent = opts
+                .transport
+                .agent(h, agents.next_u64(), opts.telemetry.enabled);
+            sim.set_agent(h, agent);
+        }
+        Self {
+            sim,
+            reroute_delay_ns,
+        }
+    }
+
+    /// The routed fabric, for placing the workload.
+    pub(crate) fn topology(&self) -> &Topology {
+        self.sim.topology()
+    }
+
+    /// Install `sessions`, schedule `plan` and its host notifications,
+    /// run to completion and collect the report.
+    pub(crate) fn finish(
+        self,
+        sessions: &[LogicalSession],
+        pattern: Pattern,
+        plan: &FaultPlan,
+    ) -> (RunReport, Retargets) {
+        let Self {
+            mut sim,
+            reroute_delay_ns,
+        } = self;
+        C::install(&mut sim, sessions, pattern);
+        sim.schedule_faults(plan);
+        // Control-plane host-failure notifications: every client
+        // fetching from a host the plan kills learns of the death one
+        // convergence window after it strikes (or after its own session
+        // starts, for fetches that begin mid-outage) — the same lag the
+        // fabric's reroute pays. Failures already repaired by then were
+        // transient; the keep-alive sweep alone covers those. The
+        // matching revival notification follows one window after the
+        // scripted repair: the client re-admits the revived replica to
+        // its still-open sessions.
+        for f in plan.host_failures(sim.topology()) {
+            for ls in sessions.iter().filter(|ls| ls.replicas.contains(&f.host)) {
+                let notify = f.at.max(ls.start) + reroute_delay_ns;
+                if f.repaired_at.is_some_and(|up| up <= notify) {
+                    continue;
+                }
+                C::notify(&mut sim, ls.client, notify, f.host, false);
+                if let Some(up) = f.repaired_at {
+                    let renotify = up.max(ls.start) + reroute_delay_ns;
+                    C::notify(&mut sim, ls.client, renotify, f.host, true);
+                }
+            }
+        }
+        sim.run_to_completion();
+
+        let timeouts = C::timeouts(&sim);
+        if timeouts > 0 {
+            // Timeouts mean work the fabric failed to carry — flag the
+            // anomaly so the flight recorder freezes the lead-up events.
+            sim.note_anomaly(AnomalyKind::Timeout);
+        }
+        let retargets = C::retargets(&sim);
+        if retargets.stranded_sessions > 0 {
+            // A stranding is survivable (that's the re-target claim) but
+            // still anomalous fabric-level history worth a flight dump.
+            sim.note_anomaly(AnomalyKind::StrandedSession);
+        }
+        let flows = C::collect(&sim, sessions, pattern);
+        sim.finish_telemetry();
+        let telemetry = sim.telemetry_mut().take().map(|recorder| RunTelemetry {
+            recorder,
+            spans: C::spans(&sim),
+        });
+        let report = RunReport {
+            flows,
+            fabric: sim.stats(),
+            timeouts,
+            telemetry,
+        };
+        (report, retargets)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Session translation
+// ---------------------------------------------------------------------------
 
 /// Trees registered per multicast session — symbols are sprayed across
 /// them, the multicast analogue of NDP's per-packet multipath.
@@ -422,41 +843,6 @@ pub fn install_rq<T: netsim::TelemetrySink>(
     }
 }
 
-pub(crate) fn collect_rq_results<T: netsim::TelemetrySink>(
-    sim: &Simulator<polyraptor::PrPayload, PolyraptorAgent, T>,
-    sessions: &[LogicalSession],
-    pattern: Pattern,
-) -> Vec<TransferResult> {
-    // One result per receiver-side record — the paper's "transport
-    // session (flow)" unit: each replica of a write is its own flow.
-    let mut flows: Vec<TransferResult> = Vec::new();
-    let mut per_session: BTreeMap<u32, usize> = BTreeMap::new();
-    for (_, agent) in sim.agents() {
-        for rec in &agent.records {
-            *per_session.entry(rec.session.0).or_insert(0) += 1;
-            flows.push(TransferResult {
-                session: rec.session.0,
-                bytes: rec.data_len,
-                start: rec.start,
-                finish: rec.finish,
-                background: rec.background,
-            });
-        }
-    }
-    // Every session must have completed at every endpoint.
-    for ls in sessions {
-        let expected = expected_rq_records(ls, pattern);
-        let got = per_session.get(&ls.index).copied().unwrap_or(0);
-        assert_eq!(
-            got, expected,
-            "session {} incomplete ({got}/{expected})",
-            ls.index
-        );
-    }
-    flows.sort_by_key(|f| f.session);
-    flows
-}
-
 fn expected_rq_records(ls: &LogicalSession, pattern: Pattern) -> usize {
     if ls.background {
         return 1;
@@ -467,80 +853,6 @@ fn expected_rq_records(ls: &LogicalSession, pattern: Pattern) -> usize {
         // Read: the client is the only receiver.
         Pattern::Read => 1,
     }
-}
-
-// ---------------------------------------------------------------------------
-// TCP runner
-// ---------------------------------------------------------------------------
-
-/// TCP-side knobs for a run.
-#[derive(Debug, Clone, Copy)]
-pub struct TcpRunOptions {
-    /// TCP parameters.
-    pub tcp: TcpConfig,
-    /// Switch queue (default deep drop-tail).
-    pub switch_queue: QueueConfig,
-    /// Path selection (default per-flow ECMP).
-    pub route: RouteMode,
-    /// Layered routing policy (default single-layer minimal/ECMP).
-    pub policy: RoutingPolicy,
-    /// Telemetry recording (default off). Honoured by the fault and
-    /// churn runners, which attach a [`crate::RunTelemetry`] to their
-    /// reports.
-    pub telemetry: TelemetryOptions,
-    /// Route-computation worker threads (0 = available cores, 1 =
-    /// serial, the default). Reports are byte-identical per seed at
-    /// every setting.
-    pub parallelism: usize,
-    /// Event-loop shards (0 = available cores, 1 = the serial loop,
-    /// the default). Byte-identical per seed at every setting.
-    pub shards: usize,
-}
-
-impl Default for TcpRunOptions {
-    fn default() -> Self {
-        Self {
-            tcp: TcpConfig::paper_default(),
-            switch_queue: QueueConfig::DROPTAIL_DEFAULT,
-            route: RouteMode::EcmpFlow,
-            policy: RoutingPolicy::minimal(),
-            telemetry: TelemetryOptions::default(),
-            parallelism: 1,
-            shards: 1,
-        }
-    }
-}
-
-/// Run a storage scenario under TCP, emulating the paper's baselines:
-/// Write ⇒ multi-unicast (the client sends one full copy per replica);
-/// Read ⇒ partitioned fetch (each replica returns `1/R` of the object,
-/// no coordination). Background sessions are single connections.
-pub fn run_storage_tcp(
-    scenario: &StorageScenario,
-    fabric: &Fabric,
-    opts: &TcpRunOptions,
-) -> Vec<TransferResult> {
-    let topo = fabric.build_with_policy(opts.policy);
-    let sessions = scenario.generate(&topo);
-    let mut sim_cfg = SimConfig::classic(scenario.seed ^ 0xFAB);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.shards = opts.shards;
-    let mut sim: Simulator<_, TcpAgent> = Simulator::new(topo, sim_cfg);
-    let hosts = sim.topology().hosts().to_vec();
-    for &h in &hosts {
-        sim.set_agent(h, TcpAgent::new(h, opts.tcp));
-    }
-
-    let conns = build_tcp_conns(&sessions, scenario.pattern);
-    for c in &conns {
-        sim.agent_mut(c.sender).install(c.clone());
-        sim.agent_mut(c.receiver).install(c.clone());
-        sim.schedule_timer(c.sender, c.start, conn_start_token(c.id));
-    }
-    sim.run_to_completion();
-    collect_tcp_results(&sim, &sessions)
 }
 
 /// Translate logical sessions into TCP connection sets.
@@ -591,116 +903,58 @@ pub fn stripe(bytes: u64, n: usize) -> Vec<u64> {
     (0..n).map(|i| base + u64::from(i < extra)).collect()
 }
 
-pub(crate) fn collect_tcp_results<T: netsim::TelemetrySink>(
-    sim: &Simulator<tcpsim::TcpPayload, TcpAgent, T>,
-    sessions: &[LogicalSession],
-) -> Vec<TransferResult> {
-    // One result per connection — each copy/stripe is its own flow,
-    // mirroring the Polyraptor accounting.
-    let mut flows: Vec<TransferResult> = Vec::new();
-    let mut per_session: BTreeMap<u32, usize> = BTreeMap::new();
-    for (_, agent) in sim.agents() {
-        for rec in &agent.records {
-            *per_session.entry(rec.session).or_insert(0) += 1;
-            flows.push(TransferResult {
-                session: rec.session,
-                bytes: rec.bytes as usize,
-                start: rec.start,
-                finish: rec.finish,
-                background: rec.background,
-            });
-        }
-    }
-    for ls in sessions {
-        assert!(
-            per_session.get(&ls.index).copied().unwrap_or(0) > 0,
-            "TCP session {} never completed",
-            ls.index
-        );
-    }
-    flows.sort_by_key(|f| f.session);
-    flows
-}
-
 // ---------------------------------------------------------------------------
-// Incast runners (Figure 1c)
+// Storage and Incast (Figures 1a–1c)
 // ---------------------------------------------------------------------------
 
-/// Run one Incast exchange under Polyraptor: a single multi-source
-/// session striped over `senders` hosts. Returns goodput in Gbit/s.
-pub fn run_incast_rq(scenario: &IncastScenario, fabric: &Fabric, opts: &RqRunOptions) -> f64 {
-    let topo = fabric.build_with_policy(opts.policy);
-    let (client, senders) = scenario.place(&topo);
-    let mut sim_cfg = SimConfig::ndp(scenario.seed ^ 0x1C);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.shards = opts.shards;
-    sim_cfg.layer_assign = opts.layer_assign;
-    let mut sim: Simulator<_, PolyraptorAgent> = Simulator::new(topo, sim_cfg);
-    let hosts = sim.topology().hosts().to_vec();
-    let mut seed_rng = Pcg32::new(scenario.seed ^ 0xA6E27);
-    for &h in &hosts {
-        let s = seed_rng.next_u64();
-        sim.set_agent(h, PolyraptorAgent::new(h, opts.pr, s));
-    }
-    let spec = SessionSpec::multi_source(
-        SessionId(0),
-        scenario.block_bytes,
-        senders,
-        client,
-        SimTime::ZERO,
+/// Run a storage scenario (Figures 1a/1b): `pattern` Write ⇒ replicated
+/// writes, Read ⇒ replicated fetches, each the way the transport does
+/// them (see the [`Transport`] impls).
+pub fn run_storage<C: Transport>(
+    scenario: &StorageScenario,
+    fabric: &Fabric,
+    opts: &RunOptions<C>,
+) -> RunReport {
+    let run = Run::new(
+        fabric,
+        opts,
+        scenario.seed ^ 0xFAB,
+        0,
+        &mut agent_stream(scenario.seed),
     );
-    install_rq(&mut sim, &spec);
-    sim.run_to_completion();
-    let rec = sim
-        .agent(client)
-        .records
-        .first()
-        .expect("incast session must complete");
-    rec.goodput_gbps()
+    let sessions = scenario.generate(run.topology());
+    run.finish(&sessions, scenario.pattern, &FaultPlan::new()).0
 }
 
-/// Run one Incast exchange under TCP: `senders` synchronized connections
-/// each carrying one stripe. Returns goodput in Gbit/s over the whole
-/// exchange (finish = last stripe).
-pub fn run_incast_tcp(scenario: &IncastScenario, fabric: &Fabric, opts: &TcpRunOptions) -> f64 {
-    let topo = fabric.build_with_policy(opts.policy);
-    let (client, senders) = scenario.place(&topo);
-    let mut sim_cfg = SimConfig::classic(scenario.seed ^ 0x1C);
-    sim_cfg.switch_queue = opts.switch_queue;
-    sim_cfg.route = opts.route;
-    sim_cfg.parallelism = opts.parallelism;
-    sim_cfg.shards = opts.shards;
-    let mut sim: Simulator<_, TcpAgent> = Simulator::new(topo, sim_cfg);
-    let hosts = sim.topology().hosts().to_vec();
-    for &h in &hosts {
-        sim.set_agent(h, TcpAgent::new(h, opts.tcp));
-    }
-    let shares = stripe(scenario.block_bytes as u64, senders.len());
-    for (i, (&s, &sh)) in senders.iter().zip(&shares).enumerate() {
-        let spec = ConnSpec {
-            id: ConnId(i as u32),
-            session: 0,
-            bytes: sh,
-            sender: s,
-            receiver: client,
-            start: SimTime::ZERO,
-            background: false,
-        };
-        sim.agent_mut(spec.sender).install(spec.clone());
-        sim.agent_mut(spec.receiver).install(spec.clone());
-        sim.schedule_timer(spec.sender, spec.start, conn_start_token(spec.id));
-    }
-    sim.run_to_completion();
-    let finish = sim
-        .agent(client)
-        .records
-        .iter()
-        .map(|r| r.finish)
-        .max()
-        .expect("incast connections must complete");
-    (scenario.block_bytes as f64 * 8.0) / (finish - SimTime::ZERO) as f64
+/// Run one Incast exchange (Figure 1c): a single block fetched from
+/// `senders` synchronized hosts — one multi-source session under
+/// Polyraptor, one stripe per sender under TCP. The report's single flow
+/// is the whole exchange (finish = last stripe), so
+/// `flows[0].goodput_gbps()` is the figure's goodput.
+pub fn run_incast<C: Transport>(
+    scenario: &IncastScenario,
+    fabric: &Fabric,
+    opts: &RunOptions<C>,
+) -> RunReport {
+    let run = Run::new(
+        fabric,
+        opts,
+        scenario.seed ^ 0x1C,
+        0,
+        &mut agent_stream(scenario.seed),
+    );
+    let (client, senders) = scenario.place(run.topology());
+    let exchange = LogicalSession {
+        index: 0,
+        client,
+        replicas: senders,
+        bytes: scenario.block_bytes,
+        start: SimTime::ZERO,
+        background: false,
+    };
+    let (mut report, _) = run.finish(&[exchange], Pattern::Read, &FaultPlan::new());
+    report.flows = op_results(&report.flows, scenario.block_bytes);
+    report
 }
 
 #[cfg(test)]
@@ -731,7 +985,7 @@ mod tests {
             pattern: Pattern::Write,
             seed: 7,
         };
-        let results = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let results = run_storage(&sc, &Fabric::small(), &RqRunOptions::default()).flows;
         // One flow per replica receiver + one per background session.
         assert!(
             results.len() >= 30,
@@ -760,7 +1014,7 @@ mod tests {
             pattern: Pattern::Read,
             seed: 8,
         };
-        let results = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+        let results = run_storage(&sc, &Fabric::small(), &RqRunOptions::default()).flows;
         assert_eq!(results.len(), 30);
         assert!(foreground_goodputs(&results).iter().all(|&g| g > 0.0));
     }
@@ -778,7 +1032,7 @@ mod tests {
             pattern: Pattern::Write,
             seed: 7,
         };
-        let results = run_storage_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
+        let results = run_storage(&sc, &Fabric::small(), &TcpRunOptions::default()).flows;
         assert!(results.len() >= 30);
         // Multi-unicast replication: 3 copies share the 1 Gbps uplink, so
         // no flow of a foreground op can beat ~1/3 Gbps by much.
@@ -798,9 +1052,48 @@ mod tests {
             block_bytes: 256 << 10,
             seed: 3,
         };
-        let g_rq = run_incast_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-        let g_tcp = run_incast_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
+        let g_rq =
+            run_incast(&sc, &Fabric::small(), &RqRunOptions::default()).flows[0].goodput_gbps();
+        let g_tcp =
+            run_incast(&sc, &Fabric::small(), &TcpRunOptions::default()).flows[0].goodput_gbps();
         assert!(g_rq > 0.0 && g_rq <= 1.0);
         assert!(g_tcp > 0.0 && g_tcp <= 1.0);
+    }
+
+    #[test]
+    fn run_flags_parse_counts_and_telemetry() {
+        let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+        let defaults = RunFlags::parse(&args("shell --smoke"));
+        assert_eq!((defaults.parallelism, defaults.shards), (1, 1));
+        assert!(!defaults.telemetry);
+        let flags = RunFlags::parse(&args("shell --par 0 --shards 4 --telemetry"));
+        let opts: RqRunOptions = flags.options();
+        assert_eq!((opts.parallelism, opts.shards), (0, 4));
+        assert!(!opts.telemetry.enabled, "options() never records");
+        assert!(flags.recorded::<PrConfig>().telemetry.enabled);
+    }
+
+    #[test]
+    fn layered_build_computes_routes_once() {
+        let policy = RoutingPolicy::layered(3, 7);
+        let topo = Fabric::small_jellyfish().build_routed(policy, 2);
+        assert_eq!(topo.weight_builds(), 1, "one weight-table build");
+        assert_eq!(topo.parallelism(), 2);
+        // Same tables as routing minimal first and re-routing layered.
+        let mut twice = Fabric::small_jellyfish().build();
+        twice.set_policy(policy);
+        twice.compute_routes();
+        assert_eq!(topo.layer_count(), 3);
+        for layer in 0..3 {
+            for n in 0..topo.node_count() as u32 {
+                for &dst in topo.hosts() {
+                    let at = NodeId(n);
+                    assert_eq!(
+                        topo.try_next_ports_on(layer, at, dst),
+                        twice.try_next_ports_on(layer, at, dst)
+                    );
+                }
+            }
+        }
     }
 }

@@ -4,9 +4,9 @@
 //! and a Chrome-trace ("Trace Event Format") JSON that loads in
 //! Perfetto (`ui.perfetto.dev`) or `chrome://tracing`.
 //!
-//! Recording is off by default ([`TelemetryOptions::default`]); the
-//! fault and churn runners honour the options and attach a
-//! [`RunTelemetry`] to their reports when enabled. Enabling telemetry
+//! Recording is off by default ([`TelemetryOptions::default`]); every
+//! runner honours the options and attaches a [`RunTelemetry`] to its
+//! report when enabled. Enabling telemetry
 //! never perturbs a run: the recorder consumes no randomness and pushes
 //! no events into the simulator's heap (see `netsim::telemetry`), and
 //! flow spans are plain appends on session-rare agent paths — the
@@ -16,19 +16,14 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use netsim::{
-    Agent, FlowSpanEvent, Recorder, SimPayload, Simulator, SpanMark, TelemetryConfig, TraceBuilder,
-};
-use polyraptor::{PolyraptorAgent, PrPayload};
+use netsim::{FlowSpanEvent, Recorder, SpanMark, TelemetryConfig, TraceBuilder};
 
 /// Trace-track process id for the fabric-wide timeline; hosts get
 /// `node + 1` so node 0 never collides with the fabric track.
 const FABRIC_PID: u32 = 0;
 
 /// Opt-in telemetry knobs for a run, carried by
-/// [`crate::RqRunOptions`] / [`crate::TcpRunOptions`]. Honoured by the
-/// fault and churn runners (which have a report to attach the data to);
-/// the plain storage/incast runners ignore it.
+/// [`crate::RunOptions::telemetry`] and honoured by every runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryOptions {
     /// Record this run (default `false`: the runner installs the
@@ -264,30 +259,6 @@ fn mark_label(m: &FlowSpanEvent) -> String {
     } else {
         format!("{verb} h{}", m.peer)
     }
-}
-
-/// Close the final bucket and take the recorder (plus caller-gathered
-/// spans) out of a finished simulator. `None` when telemetry was off.
-pub fn take_run_telemetry<P: SimPayload, A: Agent<P>>(
-    sim: &mut Simulator<P, A, Option<Recorder>>,
-    spans: Vec<FlowSpanEvent>,
-) -> Option<RunTelemetry> {
-    sim.finish_telemetry();
-    let recorder = sim.telemetry_mut().take()?;
-    Some(RunTelemetry { recorder, spans })
-}
-
-/// Gather every Polyraptor agent's flow spans, time-sorted (stable, so
-/// ties keep the agents' deterministic node order).
-pub fn gather_rq_spans(
-    sim: &Simulator<PrPayload, PolyraptorAgent, Option<Recorder>>,
-) -> Vec<FlowSpanEvent> {
-    let mut spans: Vec<FlowSpanEvent> = sim
-        .agents()
-        .flat_map(|(_, a)| a.spans.iter().copied())
-        .collect();
-    spans.sort_by_key(|s| s.at.as_nanos());
-    spans
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //! ```
 
 use polyraptor_repro::workload::{
-    foreground_goodputs, run_storage_rq, run_storage_tcp, Fabric, Pattern, RankCurve, RqRunOptions,
-    StorageScenario, TcpRunOptions,
+    foreground_goodputs, run_storage, Fabric, Pattern, RankCurve, RqRunOptions, StorageScenario,
+    TcpRunOptions,
 };
 
 fn main() {
@@ -34,10 +34,10 @@ fn main() {
         16
     );
 
-    let rq = run_storage_rq(&scenario, &fabric, &RqRunOptions::default());
+    let rq = run_storage(&scenario, &fabric, &RqRunOptions::default()).flows;
     let rq_curve = RankCurve::new(foreground_goodputs(&rq));
 
-    let tcp = run_storage_tcp(&scenario, &fabric, &TcpRunOptions::default());
+    let tcp = run_storage(&scenario, &fabric, &TcpRunOptions::default()).flows;
     let tcp_curve = RankCurve::new(foreground_goodputs(&tcp));
 
     println!("\nper-replica-flow goodput (Gbps):");

@@ -43,46 +43,12 @@ use std::path::Path;
 
 use polyraptor_repro::netsim::{FabricStats, FaultMask, NodeKind, Topology};
 use polyraptor_repro::workload::{
-    run_churn_rq, run_churn_tcp, run_fault_rq, run_fault_tcp, ChurnReport, ChurnScenario, Fabric,
-    FaultScenario, RankCurve, RqRunOptions, RunTelemetry, TcpRunOptions, TelemetryOptions,
+    run_churn, run_fault, ChurnReport, ChurnScenario, Fabric, FaultScenario, RankCurve,
+    RqRunOptions, RunFlags, RunTelemetry, TcpRunOptions,
 };
 
 /// Where `--telemetry` artefacts land.
 const TELEMETRY_DIR: &str = "target/telemetry";
-
-/// `--par N`: route-computation worker threads (0 = available cores,
-/// 1 = serial, the default). Results are byte-identical per seed at
-/// every setting — the flag only changes reroute wall-clock on the
-/// large fabrics.
-fn par_flag() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--par")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--par takes a thread count")
-                .parse()
-                .expect("--par takes a thread count")
-        })
-        .unwrap_or(1)
-}
-
-/// `--shards N`: event-loop shards (0 = available cores, 1 = the
-/// serial loop, the default). Results are byte-identical per seed at
-/// every setting — the flag only changes event-loop wall-clock on the
-/// large fabrics.
-fn shards_flag() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--shards")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--shards takes a shard count")
-                .parse()
-                .expect("--shards takes a shard count")
-        })
-        .unwrap_or(1)
-}
 
 /// Per-layer trim shares: each layer's trims as count and share of all
 /// layer-attributed trims, next to what the layer forwarded. Layers
@@ -120,9 +86,9 @@ fn write_telemetry(t: &RunTelemetry, prefix: &str) {
 /// Wall-clock the control-plane bill of one link failure on `fabric`:
 /// a full masked recomputation vs. the incremental repair, at the
 /// `--par` thread count.
-fn time_reroute(fabric: &Fabric) -> (f64, f64, usize) {
+fn time_reroute(fabric: &Fabric, parallelism: usize) -> (f64, f64, usize) {
     let mut pristine = fabric.build();
-    pristine.set_parallelism(par_flag());
+    pristine.set_parallelism(parallelism);
     // Victim: the first switch-switch link (an edge/leaf uplink).
     let (node, port) = (0..pristine.node_count() as u32)
         .map(polyraptor_repro::netsim::NodeId)
@@ -158,7 +124,7 @@ fn churn_line(label: &str, rep: &ChurnReport) {
         c.p99_ns as f64 / 1e6,
         c.max_ns as f64 / 1e6,
         c.flows,
-        rep.timeouts,
+        rep.run.timeouts,
     );
     if let Some(r) = rep.recovery() {
         println!(
@@ -173,24 +139,27 @@ fn churn_line(label: &str, rep: &ChurnReport) {
     println!(
         "  {label:<14} {} host failures -> {} sessions stranded, {} re-targeted \
          ({} symbols re-pulled from survivors)",
-        rep.host_failures, rep.stranded_sessions, rep.retargeted_sessions, rep.retarget_symbols,
+        rep.host_failures,
+        rep.retargets.stranded_sessions,
+        rep.retargets.retargeted_sessions,
+        rep.retargets.retarget_symbols,
     );
     println!(
         "  {label:<14} fabric: {} reroutes ({} incremental, {} restore-incremental), \
          {} flaps coalesced, {} lost to faults",
-        rep.fabric.reroutes,
-        rep.fabric.reroutes_incremental,
-        rep.fabric.restores_incremental,
-        rep.fabric.flaps_coalesced,
-        rep.fabric.lost_to_fault,
+        rep.run.fabric.reroutes,
+        rep.run.fabric.reroutes_incremental,
+        rep.run.fabric.restores_incremental,
+        rep.run.fabric.flaps_coalesced,
+        rep.run.fabric.lost_to_fault,
     );
-    let layers = layer_trim_line(&rep.fabric);
+    let layers = layer_trim_line(&rep.run.fabric);
     if !layers.is_empty() {
         println!("  {label:<14} per-layer trims: {layers}");
     }
 }
 
-fn run_churn(smoke: bool, telemetry: bool) {
+fn churn_soak(smoke: bool, flags: &RunFlags) {
     let (fabric, sessions, object_bytes, events) = if smoke {
         (Fabric::small(), 6, 2 << 20, 12)
     } else {
@@ -208,22 +177,15 @@ fn run_churn(smoke: bool, telemetry: bool) {
         sc.fault_events,
         sc.repair_delay_ns / 1_000_000,
     );
-    let mut opts = RqRunOptions {
-        parallelism: par_flag(),
-        shards: shards_flag(),
-        ..Default::default()
-    };
-    if telemetry {
-        opts.telemetry = TelemetryOptions::enabled_default();
-    }
-    let rep = run_churn_rq(&sc, &fabric, &opts);
+    let opts: RqRunOptions = flags.recorded();
+    let rep = run_churn(&sc, &fabric, &opts);
     churn_line("default", &rep);
-    if let Some(t) = &rep.telemetry {
+    if let Some(t) = &rep.run.telemetry {
         write_telemetry(t, "churn");
     }
     let mut spread = sc;
     spread.shared_risk_placement = true;
-    let rep_spread = run_churn_rq(&spread, &fabric, &RqRunOptions::default());
+    let rep_spread = run_churn(&spread, &fabric, &RqRunOptions::default());
     println!();
     churn_line("shared-risk", &rep_spread);
     // The TCP baseline under the identical seeded fault plan: one
@@ -231,7 +193,7 @@ fn run_churn(smoke: bool, telemetry: bool) {
     // replica's stripe stalls until the scripted repair and the
     // retransmission machinery, which is exactly the RTO-driven tail
     // the comparison shows.
-    let tcp = run_churn_tcp(&sc, &fabric, &TcpRunOptions::default());
+    let tcp = run_churn(&sc, &fabric, &TcpRunOptions::default());
     println!();
     churn_line("tcp", &tcp);
     let (p, t) = (rep.completion(), tcp.completion());
@@ -243,7 +205,7 @@ fn run_churn(smoke: bool, telemetry: bool) {
          timeouts). The TCP baseline survives on its retransmission timers instead:\n\
          {} RTO firings; completion p99 {:.2} ms vs {:.2} ms for Polyraptor under\n\
          the same fault plan.",
-        tcp.timeouts,
+        tcp.run.timeouts,
         t.p99_ns as f64 / 1e6,
         p.p99_ns as f64 / 1e6,
     );
@@ -262,33 +224,30 @@ fn run_churn(smoke: bool, telemetry: bool) {
     for fabric in [Fabric::large(), Fabric::large_jellyfish()] {
         let mut big = ChurnScenario::ten_event(big_sessions, big_bytes, 2);
         big.fault_events = big_events;
-        let big_opts = RqRunOptions {
-            parallelism: par_flag(),
-            shards: shards_flag(),
-            ..Default::default()
-        };
-        let rep = run_churn_rq(&big, &fabric, &big_opts);
+        let big_opts: RqRunOptions = flags.options();
+        let rep = run_churn(&big, &fabric, &big_opts);
         let c = rep.completion();
-        let (full_ms, repair_ms, _) = time_reroute(&fabric);
+        let (full_ms, repair_ms, _) = time_reroute(&fabric, flags.parallelism);
         println!(
             "large-fabric churn: {}: completion p99 {:.2} ms, {} reroutes \
              ({} incremental, {} restore-incremental), {} timeouts; \
              one-link repair {repair_ms:.2} ms vs {full_ms:.2} ms full recompute",
             fabric.describe(),
             c.p99_ns as f64 / 1e6,
-            rep.fabric.reroutes,
-            rep.fabric.reroutes_incremental,
-            rep.fabric.restores_incremental,
-            rep.timeouts,
+            rep.run.fabric.reroutes,
+            rep.run.fabric.reroutes_incremental,
+            rep.run.fabric.restores_incremental,
+            rep.run.timeouts,
         );
     }
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let telemetry = std::env::args().any(|a| a == "--telemetry");
-    if std::env::args().any(|a| a == "--churn") {
-        run_churn(smoke, telemetry);
+    let args: Vec<String> = std::env::args().collect();
+    let flags = RunFlags::parse(&args);
+    let smoke = args.iter().any(|a| a == "--smoke");
+    if args.iter().any(|a| a == "--churn") {
+        churn_soak(smoke, &flags);
         return;
     }
     let (fabric, sessions, object_bytes) = if smoke {
@@ -304,18 +263,11 @@ fn main() {
         fabric.describe()
     );
 
-    let mut rq_opts = RqRunOptions {
-        parallelism: par_flag(),
-        shards: shards_flag(),
-        ..Default::default()
-    };
-    if telemetry {
-        rq_opts.telemetry = TelemetryOptions::enabled_default();
-    }
-    let rq = run_fault_rq(&sc, &fabric, &rq_opts);
-    let rq_healthy = run_fault_rq(&sc.healthy(), &fabric, &RqRunOptions::default());
-    let tcp = run_fault_tcp(&sc, &fabric, &TcpRunOptions::default());
-    let tcp_healthy = run_fault_tcp(&sc.healthy(), &fabric, &TcpRunOptions::default());
+    let rq_opts: RqRunOptions = flags.recorded();
+    let rq = run_fault(&sc, &fabric, &rq_opts);
+    let rq_healthy = run_fault(&sc.healthy(), &fabric, &RqRunOptions::default());
+    let tcp = run_fault(&sc, &fabric, &TcpRunOptions::default());
+    let tcp_healthy = run_fault(&sc.healthy(), &fabric, &TcpRunOptions::default());
 
     println!(
         "victim: core switch {} down at t = {:.2} ms\n",
@@ -326,7 +278,7 @@ fn main() {
         ("Polyraptor", &rq, &rq_healthy),
         ("TCP", &tcp, &tcp_healthy),
     ] {
-        let curve = RankCurve::new(faulted.flows.iter().map(|f| f.goodput_gbps()).collect());
+        let curve = RankCurve::new(faulted.run.flows.iter().map(|f| f.goodput_gbps()).collect());
         println!(
             "  {label:<10} goodput best {:.3} median {:.3} worst {:.3} Gbps",
             curve.at(0),
@@ -338,11 +290,11 @@ fn main() {
              lost-to-fault {}  reroutes {} ({} incremental)  trees repaired {}",
             faulted.makespan().as_secs_f64() * 1e3,
             healthy.makespan().as_secs_f64() * 1e3,
-            faulted.timeouts,
-            faulted.fabric.lost_to_fault,
-            faulted.fabric.reroutes,
-            faulted.fabric.reroutes_incremental,
-            faulted.fabric.trees_repaired,
+            faulted.run.timeouts,
+            faulted.run.fabric.lost_to_fault,
+            faulted.run.fabric.reroutes,
+            faulted.run.fabric.reroutes_incremental,
+            faulted.run.fabric.trees_repaired,
         );
         if let Some(rec) = faulted.recovery() {
             println!(
@@ -356,15 +308,15 @@ fn main() {
         }
     }
 
-    if let Some(t) = &rq.telemetry {
+    if let Some(t) = &rq.run.telemetry {
         write_telemetry(t, "fault");
     }
 
     // Batch sweep recovery, isolated: the identical Polyraptor run with
     // batching off recovers one symbol per keep-alive sweep.
     let mut legacy_opts = RqRunOptions::default();
-    legacy_opts.pr.repull_batch_cap = 0;
-    let legacy = run_fault_rq(&sc, &fabric, &legacy_opts);
+    legacy_opts.transport.repull_batch_cap = 0;
+    let legacy = run_fault(&sc, &fabric, &legacy_opts);
     let (b, l) = (
         rq.recovery().expect("faulted run").max_ns,
         legacy.recovery().expect("faulted run").max_ns,
@@ -383,8 +335,8 @@ fn main() {
     // check that flipping the codec default did not perturb the
     // packet-level story.
     let mut legacy_code_opts = RqRunOptions::default();
-    legacy_code_opts.pr.code_mode = polyraptor_repro::polyraptor::CodeMode::Legacy;
-    let legacy_code = run_fault_rq(&sc, &fabric, &legacy_code_opts);
+    legacy_code_opts.transport.code_mode = polyraptor_repro::polyraptor::CodeMode::Legacy;
+    let legacy_code = run_fault(&sc, &fabric, &legacy_code_opts);
     assert_eq!(
         legacy_code.makespan(),
         rq.makespan(),
@@ -398,7 +350,7 @@ fn main() {
 
     // Incremental route repair, isolated: the control-plane bill of one
     // link failure on this fabric.
-    let (full_ms, repair_ms, rebuilt) = time_reroute(&fabric);
+    let (full_ms, repair_ms, rebuilt) = time_reroute(&fabric, flags.parallelism);
     println!(
         "incremental route repair: {repair_ms:.3} ms ({rebuilt} destination trees rebuilt) \
          vs {full_ms:.3} ms full recompute ({:.1}x)",

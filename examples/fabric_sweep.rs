@@ -38,8 +38,8 @@ use std::path::PathBuf;
 
 use polyraptor_repro::netsim::{FaultMix, RoutingPolicy};
 use polyraptor_repro::workload::{
-    csv, run_churn_rq, run_fault_rq, run_fault_tcp, ChurnScenario, Fabric, FaultScenario,
-    RqRunOptions, TcpRunOptions, TelemetryOptions,
+    csv, run_churn, run_fault, ChurnScenario, Fabric, FaultScenario, RqRunOptions, RunFlags,
+    TcpRunOptions,
 };
 
 /// The Jellyfish layer sweep's fault scenario: links-only churn (link
@@ -64,33 +64,7 @@ fn emit(out: &Option<PathBuf>, name: &str, header: &[&str], rows: Vec<Vec<f64>>)
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let telemetry = args.iter().any(|a| a == "--telemetry");
-    // Route-computation worker threads (0 = available cores, 1 =
-    // serial). Sweep rows are byte-identical per seed at every setting;
-    // the flag only changes reroute wall-clock on large fabrics.
-    let par: usize = args
-        .iter()
-        .position(|a| a == "--par")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--par takes a thread count")
-                .parse()
-                .expect("--par takes a thread count")
-        })
-        .unwrap_or(1);
-    // Event-loop shards (0 = available cores, 1 = the serial loop).
-    // Like --par, the setting never changes a sweep row — only the
-    // event-loop wall-clock on large fabrics.
-    let shards: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .map(|i| {
-            args.get(i + 1)
-                .expect("--shards takes a shard count")
-                .parse()
-                .expect("--shards takes a shard count")
-        })
-        .unwrap_or(1);
+    let flags = RunFlags::parse(&args);
     let out: Option<PathBuf> = args
         .iter()
         .position(|a| a == "--out")
@@ -121,24 +95,16 @@ fn main() {
             prop_ns: 10_000,
         };
         let sc = FaultScenario::fig1_failure(sessions, bytes, 42);
-        let rq_opts = RqRunOptions {
-            parallelism: par,
-            shards,
-            ..Default::default()
-        };
-        let tcp_opts = TcpRunOptions {
-            parallelism: par,
-            shards,
-            ..Default::default()
-        };
-        let rq = run_fault_rq(&sc, &fabric, &rq_opts);
-        let tcp = run_fault_tcp(&sc, &fabric, &tcp_opts);
+        let rq_opts: RqRunOptions = flags.options();
+        let tcp_opts: TcpRunOptions = flags.options();
+        let rq = run_fault(&sc, &fabric, &rq_opts);
+        let tcp = run_fault(&sc, &fabric, &tcp_opts);
         rows.push(vec![
             oversub,
             rq.makespan().as_secs_f64() * 1e3,
             rq.recovery().map_or(0.0, |r| r.max_ns as f64 / 1e6),
             tcp.makespan().as_secs_f64() * 1e3,
-            tcp.timeouts as f64,
+            tcp.run.timeouts as f64,
         ]);
     }
     emit(
@@ -175,14 +141,11 @@ fn main() {
             prop_ns: 10_000,
             seed: 1,
         };
-        let rep = run_churn_rq(
+        let opts: RqRunOptions = flags.options();
+        let rep = run_churn(
             &link_churn(jf_sessions, jf_bytes, jf_events, 1),
             &fabric,
-            &RqRunOptions {
-                parallelism: par,
-                shards,
-                ..Default::default()
-            },
+            &opts,
         );
         let c = rep.completion();
         rows.push(vec![
@@ -190,7 +153,7 @@ fn main() {
             c.p50_ns as f64 / 1e6,
             c.p99_ns as f64 / 1e6,
             c.max_ns as f64 / 1e6,
-            rep.fabric.lost_to_fault as f64,
+            rep.run.fabric.lost_to_fault as f64,
         ]);
     }
     emit(
@@ -241,21 +204,14 @@ fn main() {
     for layers in [1usize, 2, 3, 4] {
         let opts = RqRunOptions {
             policy: RoutingPolicy::layered(layers, 7),
-            parallelism: par,
-            shards,
-            telemetry: if telemetry {
-                TelemetryOptions::enabled_default()
-            } else {
-                TelemetryOptions::default()
-            },
-            ..Default::default()
+            ..flags.recorded()
         };
-        let rep = run_churn_rq(
+        let rep = run_churn(
             &link_churn(ls_sessions, ls_bytes, ls_events, ls_seed),
             &fabric,
             &opts,
         );
-        if let Some(t) = &rep.telemetry {
+        if let Some(t) = &rep.run.telemetry {
             let dir = out
                 .clone()
                 .unwrap_or_else(|| PathBuf::from("target/telemetry"));
@@ -274,8 +230,8 @@ fn main() {
             c.p50_ns as f64 / 1e6,
             c.p99_ns as f64 / 1e6,
             c.max_ns as f64 / 1e6,
-            rep.fabric.layer_reassignments as f64,
-            rep.fabric.lost_to_fault as f64,
+            rep.run.fabric.layer_reassignments as f64,
+            rep.run.fabric.lost_to_fault as f64,
         ]);
     }
     emit(

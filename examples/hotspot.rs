@@ -12,9 +12,7 @@
 //! ```
 
 use polyraptor_repro::netsim::RouteMode;
-use polyraptor_repro::workload::{
-    run_hotspot_rq, Fabric, HotspotScenario, RankCurve, RqRunOptions,
-};
+use polyraptor_repro::workload::{run_hotspot, Fabric, HotspotScenario, RankCurve, RqRunOptions};
 
 fn main() {
     let sc = HotspotScenario {
@@ -33,7 +31,7 @@ fn main() {
             route,
             ..Default::default()
         };
-        let res = run_hotspot_rq(&sc, &Fabric::small(), &opts);
+        let res = run_hotspot(&sc, &Fabric::small(), &opts).flows;
         let curve = RankCurve::new(res.iter().map(|r| r.goodput_gbps()).collect());
         println!(
             "  {label:<20} best {:.3}  median {:.3}  worst {:.3} Gbps",

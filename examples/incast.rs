@@ -10,9 +10,7 @@
 //! cargo run --release --example incast
 //! ```
 
-use polyraptor_repro::workload::{
-    run_incast_rq, run_incast_tcp, Fabric, IncastScenario, RqRunOptions, TcpRunOptions,
-};
+use polyraptor_repro::workload::{run_incast, Fabric, IncastScenario, RqRunOptions, TcpRunOptions};
 
 fn main() {
     let fabric = Fabric::small();
@@ -24,8 +22,8 @@ fn main() {
             block_bytes: 256 << 10,
             seed: 1,
         };
-        let rq = run_incast_rq(&sc, &fabric, &RqRunOptions::default());
-        let tcp = run_incast_tcp(&sc, &fabric, &TcpRunOptions::default());
+        let rq = run_incast(&sc, &fabric, &RqRunOptions::default()).flows[0].goodput_gbps();
+        let tcp = run_incast(&sc, &fabric, &TcpRunOptions::default()).flows[0].goodput_gbps();
         println!("  {senders:>9}   {rq:>17.3}   {tcp:>10.3}");
     }
     println!(

@@ -6,9 +6,8 @@ use polyraptor_repro::polyraptor::{
     start_token, MulticastPull, PolyraptorAgent, PrConfig, SessionId, SessionSpec,
 };
 use polyraptor_repro::workload::{
-    foreground_goodputs, op_results, run_incast_rq, run_incast_tcp, run_storage_rq,
-    run_storage_tcp, Fabric, IncastScenario, Pattern, RankCurve, RqRunOptions, StorageScenario,
-    TcpRunOptions,
+    foreground_goodputs, op_results, run_incast, run_storage, Fabric, IncastScenario, Pattern,
+    RankCurve, RqRunOptions, StorageScenario, TcpRunOptions,
 };
 
 fn small_scenario(pattern: Pattern, replicas: usize, seed: u64) -> StorageScenario {
@@ -134,10 +133,10 @@ fn real_oracle_legacy_code_multicast_write() {
 #[test]
 fn counting_runs_are_code_mode_invariant() {
     let sc = small_scenario(Pattern::Write, 3, 21);
-    let sys = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let sys = run_storage(&sc, &Fabric::small(), &RqRunOptions::default()).flows;
     let mut leg_opts = RqRunOptions::default();
-    leg_opts.pr.code_mode = polyraptor_repro::polyraptor::CodeMode::Legacy;
-    let leg = run_storage_rq(&sc, &Fabric::small(), &leg_opts);
+    leg_opts.transport.code_mode = polyraptor_repro::polyraptor::CodeMode::Legacy;
+    let leg = run_storage(&sc, &Fabric::small(), &leg_opts).flows;
     assert_eq!(sys.len(), leg.len());
     for (x, y) in sys.iter().zip(&leg) {
         assert_eq!(x.session, y.session);
@@ -154,8 +153,8 @@ fn counting_runs_are_code_mode_invariant() {
 #[test]
 fn identical_seeds_identical_results() {
     let sc = small_scenario(Pattern::Write, 3, 21);
-    let a = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-    let b = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let a = run_storage(&sc, &Fabric::small(), &RqRunOptions::default()).flows;
+    let b = run_storage(&sc, &Fabric::small(), &RqRunOptions::default()).flows;
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.session, y.session);
@@ -171,16 +170,18 @@ fn identical_seeds_identical_results() {
 /// Different seeds must actually change the run.
 #[test]
 fn different_seeds_differ() {
-    let a = run_storage_rq(
+    let a = run_storage(
         &small_scenario(Pattern::Write, 3, 1),
         &Fabric::small(),
         &RqRunOptions::default(),
-    );
-    let b = run_storage_rq(
+    )
+    .flows;
+    let b = run_storage(
         &small_scenario(Pattern::Write, 3, 2),
         &Fabric::small(),
         &RqRunOptions::default(),
-    );
+    )
+    .flows;
     assert!(a.iter().zip(&b).any(|(x, y)| x.finish != y.finish));
 }
 
@@ -189,16 +190,12 @@ fn different_seeds_differ() {
 #[test]
 fn fig1a_shape_holds_at_small_scale() {
     let sc = small_scenario(Pattern::Write, 3, 5);
-    let rq = RankCurve::new(foreground_goodputs(&run_storage_rq(
-        &sc,
-        &Fabric::small(),
-        &RqRunOptions::default(),
-    )));
-    let tcp = RankCurve::new(foreground_goodputs(&run_storage_tcp(
-        &sc,
-        &Fabric::small(),
-        &TcpRunOptions::default(),
-    )));
+    let rq = RankCurve::new(foreground_goodputs(
+        &run_storage(&sc, &Fabric::small(), &RqRunOptions::default()).flows,
+    ));
+    let tcp = RankCurve::new(foreground_goodputs(
+        &run_storage(&sc, &Fabric::small(), &TcpRunOptions::default()).flows,
+    ));
     assert!(
         rq.median() > 1.5 * tcp.median(),
         "RQ median {} should clearly beat TCP multi-unicast median {}",
@@ -220,8 +217,8 @@ fn incast_eliminated_for_rq_only() {
         block_bytes: 256 << 10,
         seed: 3,
     };
-    let rq = run_incast_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-    let tcp = run_incast_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
+    let rq = run_incast(&sc, &Fabric::small(), &RqRunOptions::default()).flows[0].goodput_gbps();
+    let tcp = run_incast(&sc, &Fabric::small(), &TcpRunOptions::default()).flows[0].goodput_gbps();
     assert!(rq > 0.7, "RQ incast goodput {rq}");
     assert!(tcp < 0.2, "TCP should collapse, got {tcp}");
 }
@@ -260,10 +257,10 @@ fn ndp_fabric_never_drops() {
 #[test]
 fn multicast_policies_both_complete() {
     let sc = small_scenario(Pattern::Write, 3, 9);
-    let any = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let any = run_storage(&sc, &Fabric::small(), &RqRunOptions::default()).flows;
     let mut strict_opts = RqRunOptions::default();
-    strict_opts.pr.multicast = MulticastPull::All;
-    let all = run_storage_rq(&sc, &Fabric::small(), &strict_opts);
+    strict_opts.transport.multicast = MulticastPull::All;
+    let all = run_storage(&sc, &Fabric::small(), &strict_opts).flows;
     let any_ops = op_results(&any, sc.object_bytes);
     let all_ops = op_results(&all, sc.object_bytes);
     assert_eq!(any_ops.len(), all_ops.len());
@@ -284,7 +281,7 @@ fn multicast_policies_both_complete() {
 #[test]
 fn tcp_partitioned_fetch_completes() {
     let sc = small_scenario(Pattern::Read, 3, 4);
-    let res = run_storage_tcp(&sc, &Fabric::small(), &TcpRunOptions::default());
+    let res = run_storage(&sc, &Fabric::small(), &TcpRunOptions::default()).flows;
     let fg: Vec<_> = res.iter().filter(|r| !r.background).collect();
     // Each foreground op yields 3 stripe flows.
     let ops = op_results(&res, sc.object_bytes);

@@ -10,8 +10,8 @@ use polyraptor_repro::polyraptor::{
 };
 use polyraptor_repro::rq::{Decoder, Encoder};
 use polyraptor_repro::workload::{
-    run_fault_rq, run_hotspot_rq, run_incast_rq, run_storage_rq, Fabric, FaultScenario,
-    HotspotScenario, IncastScenario, Pattern, RqRunOptions, StorageScenario,
+    run_fault, run_hotspot, run_incast, run_storage, Fabric, FaultScenario, HotspotScenario,
+    IncastScenario, Pattern, RqRunOptions, StorageScenario,
 };
 
 /// `examples/quickstart.rs` part 1: codec round-trip through 10% loss.
@@ -86,12 +86,12 @@ fn distributed_storage_write_completes_deterministically() {
         normalize_load: true,
         shared_risk_placement: false,
     };
-    let a = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let a = run_storage(&sc, &Fabric::small(), &RqRunOptions::default()).flows;
     assert!(!a.is_empty());
     for r in &a {
         assert!(r.finish > r.start, "session {} never finished", r.session);
     }
-    let b = run_storage_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let b = run_storage(&sc, &Fabric::small(), &RqRunOptions::default()).flows;
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(
@@ -140,9 +140,9 @@ fn incast_burst_completes_deterministically() {
         block_bytes: 64 << 10,
         seed: 2,
     };
-    let a = run_incast_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let a = run_incast(&sc, &Fabric::small(), &RqRunOptions::default()).flows[0].goodput_gbps();
     assert!(a > 0.5, "incast goodput {a}");
-    let b = run_incast_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let b = run_incast(&sc, &Fabric::small(), &RqRunOptions::default()).flows[0].goodput_gbps();
     assert_eq!(a.to_bits(), b.to_bits(), "incast run must be bit-identical");
 }
 
@@ -152,14 +152,21 @@ fn incast_burst_completes_deterministically() {
 #[test]
 fn fabric_faults_scenario_completes_deterministically() {
     let sc = FaultScenario::fig1_failure(3, 64 << 10, 7);
-    let a = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-    assert_eq!(a.flows.len(), 3 * 3, "one flow per replica, all complete");
-    assert_eq!(a.fabric.reroutes, 1);
-    assert!(a.fabric.trees_repaired > 0);
-    let b = run_fault_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let a = run_fault(&sc, &Fabric::small(), &RqRunOptions::default());
+    assert_eq!(
+        a.run.flows.len(),
+        3 * 3,
+        "one flow per replica, all complete"
+    );
+    assert_eq!(a.run.fabric.reroutes, 1);
+    assert!(a.run.fabric.trees_repaired > 0);
+    let b = run_fault(&sc, &Fabric::small(), &RqRunOptions::default());
     assert_eq!(a.victim, b.victim);
-    assert_eq!(a.fabric, b.fabric, "same seed ⇒ identical fabric stats");
-    for (x, y) in a.flows.iter().zip(&b.flows) {
+    assert_eq!(
+        a.run.fabric, b.run.fabric,
+        "same seed ⇒ identical fabric stats"
+    );
+    for (x, y) in a.run.flows.iter().zip(&b.run.flows) {
         assert_eq!(
             (x.session, x.start, x.finish, x.bytes),
             (y.session, y.start, y.finish, y.bytes)
@@ -184,7 +191,7 @@ fn storage_writes_complete_on_leaf_spine_and_jellyfish() {
         shared_risk_placement: false,
     };
     for fabric in [Fabric::small_leaf_spine(), Fabric::small_jellyfish()] {
-        let results = run_storage_rq(&sc, &fabric, &RqRunOptions::default());
+        let results = run_storage(&sc, &fabric, &RqRunOptions::default()).flows;
         assert_eq!(results.len(), 18, "all replicas complete on {fabric:?}");
         for r in &results {
             assert!(r.goodput_gbps() > 0.0);
@@ -203,12 +210,12 @@ fn hotspot_transfers_complete_deterministically() {
         degraded_rate_frac: 0.1,
         seed: 11,
     };
-    let a = run_hotspot_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let a = run_hotspot(&sc, &Fabric::small(), &RqRunOptions::default()).flows;
     assert_eq!(a.len(), 4);
     for r in &a {
         assert!(r.goodput_gbps() > 0.0);
     }
-    let b = run_hotspot_rq(&sc, &Fabric::small(), &RqRunOptions::default());
+    let b = run_hotspot(&sc, &Fabric::small(), &RqRunOptions::default()).flows;
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.goodput_gbps().to_bits(), y.goodput_gbps().to_bits());
     }

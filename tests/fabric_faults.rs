@@ -8,8 +8,7 @@
 //! test-friendly object size.
 
 use polyraptor_repro::workload::{
-    op_results, run_fault_rq, run_fault_tcp, Fabric, FaultRunReport, FaultScenario, RqRunOptions,
-    TcpRunOptions,
+    op_results, run_fault, Fabric, FaultRunReport, FaultScenario, RqRunOptions, TcpRunOptions,
 };
 
 const SESSIONS: usize = 6;
@@ -30,7 +29,7 @@ fn core_failure_polyraptor_completes_while_tcp_tail_inflates() {
     let fabric = paper_fabric();
     let sc = scenario();
 
-    let rq = run_fault_rq(&sc, &fabric, &RqRunOptions::default());
+    let rq = run_fault(&sc, &fabric, &RqRunOptions::default());
     // The failure really struck mid-transfer...
     let fail_at = rq.fail_at.expect("faulted run has a failure instant");
     assert!(
@@ -38,14 +37,17 @@ fn core_failure_polyraptor_completes_while_tcp_tail_inflates() {
         "failure must catch at least one session mid-transfer"
     );
     // ...really killed traffic and really rerouted...
-    assert!(rq.fabric.lost_to_fault > 0, "core death must cost packets");
-    assert_eq!(rq.fabric.reroutes, 1);
-    assert!(rq.fabric.trees_repaired > 0, "multicast trees repaired");
+    assert!(
+        rq.run.fabric.lost_to_fault > 0,
+        "core death must cost packets"
+    );
+    assert_eq!(rq.run.fabric.reroutes, 1);
+    assert!(rq.run.fabric.trees_repaired > 0, "multicast trees repaired");
     // ...and every session still completed at every replica (the
     // collector asserts per-endpoint completion; spot-check the shape).
-    assert_eq!(rq.flows.len(), SESSIONS * 3, "one flow per replica");
-    assert_eq!(op_results(&rq.flows, OBJECT_BYTES).len(), SESSIONS);
-    assert_eq!(rq.timeouts, 0, "coded repair needs no timeouts");
+    assert_eq!(rq.run.flows.len(), SESSIONS * 3, "one flow per replica");
+    assert_eq!(op_results(&rq.run.flows, OBJECT_BYTES).len(), SESSIONS);
+    assert_eq!(rq.run.timeouts, 0, "coded repair needs no timeouts");
     // Batched sweep recovery: the post-fault completion tail is bounded
     // by the 25 ms control-plane convergence window plus a near-healthy
     // transfer remainder — not paced by the 1 ms keep-alive sweep. The
@@ -59,14 +61,14 @@ fn core_failure_polyraptor_completes_while_tcp_tail_inflates() {
         recovery.max_ns as f64 / 1e6
     );
 
-    let tcp = run_fault_tcp(&sc, &fabric, &TcpRunOptions::default());
-    let tcp_healthy = run_fault_tcp(&sc.healthy(), &fabric, &TcpRunOptions::default());
+    let tcp = run_fault(&sc, &fabric, &TcpRunOptions::default());
+    let tcp_healthy = run_fault(&sc.healthy(), &fabric, &TcpRunOptions::default());
     assert!(
-        tcp.timeouts > tcp_healthy.timeouts,
+        tcp.run.timeouts > tcp_healthy.run.timeouts,
         "blackholed ECMP-pinned flows must eat retransmission timeouts \
          ({} faulted vs {} healthy)",
-        tcp.timeouts,
-        tcp_healthy.timeouts
+        tcp.run.timeouts,
+        tcp_healthy.run.timeouts
     );
     // Timeout-driven tail inflation: the TCP makespan grows by RTO-floor
     // scale (the 200 ms timer arms at the last pre-failure ack, so the
@@ -95,25 +97,26 @@ fn fault_experiment_is_byte_identical_across_runs() {
     let fabric = paper_fabric();
     let sc = scenario();
     let fingerprint = |rep: &FaultRunReport| -> Vec<(u32, u64, u64, usize)> {
-        rep.flows
+        rep.run
+            .flows
             .iter()
             .map(|f| (f.session, f.start.as_nanos(), f.finish.as_nanos(), f.bytes))
             .collect()
     };
 
-    let a = run_fault_rq(&sc, &fabric, &RqRunOptions::default());
-    let b = run_fault_rq(&sc, &fabric, &RqRunOptions::default());
+    let a = run_fault(&sc, &fabric, &RqRunOptions::default());
+    let b = run_fault(&sc, &fabric, &RqRunOptions::default());
     assert_eq!(a.victim, b.victim);
     assert_eq!(a.fail_at, b.fail_at);
     assert_eq!(
-        a.fabric, b.fabric,
+        a.run.fabric, b.run.fabric,
         "identical fabric stats, field for field"
     );
     assert_eq!(fingerprint(&a), fingerprint(&b), "identical per-flow stats");
 
-    let ta = run_fault_tcp(&sc, &fabric, &TcpRunOptions::default());
-    let tb = run_fault_tcp(&sc, &fabric, &TcpRunOptions::default());
-    assert_eq!(ta.timeouts, tb.timeouts);
-    assert_eq!(ta.fabric, tb.fabric);
+    let ta = run_fault(&sc, &fabric, &TcpRunOptions::default());
+    let tb = run_fault(&sc, &fabric, &TcpRunOptions::default());
+    assert_eq!(ta.run.timeouts, tb.run.timeouts);
+    assert_eq!(ta.run.fabric, tb.run.fabric);
     assert_eq!(fingerprint(&ta), fingerprint(&tb));
 }

@@ -11,7 +11,7 @@
 //! the whole run is byte-identical per seed.
 
 use polyraptor_repro::netsim::FaultAction;
-use polyraptor_repro::workload::{run_churn_rq, ChurnReport, ChurnScenario, Fabric, RqRunOptions};
+use polyraptor_repro::workload::{run_churn, ChurnReport, ChurnScenario, Fabric, RqRunOptions};
 
 /// Seed 2 at this scale draws all four event classes and strands live
 /// sessions (verified by the plan assertions below, so a regression in
@@ -48,29 +48,32 @@ fn churn_soak_completes_everything_and_retargets_all_stranded() {
         "soak needs a host failure"
     );
 
-    let rep = run_churn_rq(&sc, &fabric, &RqRunOptions::default());
+    let rep = run_churn(&sc, &fabric, &RqRunOptions::default());
     // Every fetch completed (the collector asserts per-endpoint
     // completion; the count pins the shape) with zero timeouts.
-    assert_eq!(rep.flows.len(), 6, "one completed fetch per session");
-    assert_eq!(rep.timeouts, 0, "recovery is pull-paced, never timer-paced");
+    assert_eq!(rep.run.flows.len(), 6, "one completed fetch per session");
+    assert_eq!(
+        rep.run.timeouts, 0,
+        "recovery is pull-paced, never timer-paced"
+    );
     // Host failures stranded live sessions, and every stranding was
     // re-targeted at a surviving replica.
     assert!(rep.host_failures >= 1);
     assert!(
-        rep.stranded_sessions >= 1,
+        rep.retargets.stranded_sessions >= 1,
         "a host failure must strand a live fetch at this scale"
     );
     assert_eq!(
-        rep.retargeted_sessions, rep.stranded_sessions,
+        rep.retargets.retargeted_sessions, rep.retargets.stranded_sessions,
         "every stranded session must be re-targeted"
     );
     assert!(
-        rep.retarget_symbols > 0,
+        rep.retargets.retarget_symbols > 0,
         "re-target must move the dead replica's share to survivors"
     );
     // Revivals can only undo strandings that actually happened.
     assert!(
-        rep.unstranded_sessions <= rep.stranded_sessions,
+        rep.retargets.unstranded_sessions <= rep.retargets.stranded_sessions,
         "un-strand count bounded by strandings"
     );
     // The fabric half of the story: flaps coalesced into no-op deltas.
@@ -79,10 +82,10 @@ fn churn_soak_completes_everything_and_retargets_all_stranded() {
     // `links_only_churn_never_pays_a_full_recompute` below, where the
     // repairs are spaced.)
     assert!(
-        rep.fabric.flaps_coalesced >= 1,
+        rep.run.fabric.flaps_coalesced >= 1,
         "sub-convergence-window flaps must coalesce"
     );
-    assert!(rep.fabric.lost_to_fault > 0, "churn must cost packets");
+    assert!(rep.run.fabric.lost_to_fault > 0, "churn must cost packets");
     // Recovery is bounded: every fetch in flight at a fault instant
     // still finished (completion is asserted above; the percentiles
     // exist and are ordered).
@@ -102,19 +105,19 @@ fn links_only_churn_never_pays_a_full_recompute() {
     sc.fault_rate_per_sec = 120.0;
     sc.repair_delay_ns = 12_000_000;
     sc.mix = polyraptor_repro::netsim::FaultMix::links_only();
-    let rep = run_churn_rq(&sc, &Fabric::small(), &RqRunOptions::default());
-    assert_eq!(rep.flows.len(), 6, "every fetch completes");
+    let rep = run_churn(&sc, &Fabric::small(), &RqRunOptions::default());
+    assert_eq!(rep.run.flows.len(), 6, "every fetch completes");
     assert!(
-        rep.fabric.flaps_coalesced >= 1,
+        rep.run.fabric.flaps_coalesced >= 1,
         "flaps must coalesce (got {})",
-        rep.fabric.flaps_coalesced
+        rep.run.fabric.flaps_coalesced
     );
     assert!(
-        rep.fabric.restores_incremental >= 1,
+        rep.run.fabric.restores_incremental >= 1,
         "spaced restorations must take restore repair"
     );
     assert_eq!(
-        rep.fabric.reroutes, rep.fabric.reroutes_incremental,
+        rep.run.fabric.reroutes, rep.run.fabric.reroutes_incremental,
         "links-only churn must never fall back to a full route recompute"
     );
 }
@@ -124,19 +127,29 @@ fn churn_soak_is_byte_identical_per_seed() {
     let sc = scenario();
     let fabric = Fabric::small();
     let fingerprint = |rep: &ChurnReport| -> Vec<(u32, u64, u64, usize)> {
-        rep.flows
+        rep.run
+            .flows
             .iter()
             .map(|f| (f.session, f.start.as_nanos(), f.finish.as_nanos(), f.bytes))
             .collect()
     };
-    let a = run_churn_rq(&sc, &fabric, &RqRunOptions::default());
-    let b = run_churn_rq(&sc, &fabric, &RqRunOptions::default());
-    assert_eq!(a.fabric, b.fabric, "identical fabric stats field for field");
+    let a = run_churn(&sc, &fabric, &RqRunOptions::default());
+    let b = run_churn(&sc, &fabric, &RqRunOptions::default());
+    assert_eq!(
+        a.run.fabric, b.run.fabric,
+        "identical fabric stats field for field"
+    );
     assert_eq!(fingerprint(&a), fingerprint(&b), "identical per-flow stats");
-    assert_eq!(a.stranded_sessions, b.stranded_sessions);
-    assert_eq!(a.retargeted_sessions, b.retargeted_sessions);
-    assert_eq!(a.unstranded_sessions, b.unstranded_sessions);
-    assert_eq!(a.retarget_symbols, b.retarget_symbols);
+    assert_eq!(a.retargets.stranded_sessions, b.retargets.stranded_sessions);
+    assert_eq!(
+        a.retargets.retargeted_sessions,
+        b.retargets.retargeted_sessions
+    );
+    assert_eq!(
+        a.retargets.unstranded_sessions,
+        b.retargets.unstranded_sessions
+    );
+    assert_eq!(a.retargets.retarget_symbols, b.retargets.retarget_symbols);
     assert_eq!(a.fault_instants, b.fault_instants);
 
     // Parallel route computation must not leak into results: the same
@@ -147,20 +160,29 @@ fn churn_soak_is_byte_identical_per_seed() {
         parallelism: 3,
         ..Default::default()
     };
-    let p = run_churn_rq(&sc, &fabric, &par_opts);
-    assert_eq!(a.fabric, p.fabric, "parallel reroutes alter no fabric stat");
+    let p = run_churn(&sc, &fabric, &par_opts);
+    assert_eq!(
+        a.run.fabric, p.run.fabric,
+        "parallel reroutes alter no fabric stat"
+    );
     assert_eq!(fingerprint(&a), fingerprint(&p), "parallel run diverged");
-    assert_eq!(a.stranded_sessions, p.stranded_sessions);
-    assert_eq!(a.retargeted_sessions, p.retargeted_sessions);
-    assert_eq!(a.unstranded_sessions, p.unstranded_sessions);
-    assert_eq!(a.retarget_symbols, p.retarget_symbols);
+    assert_eq!(a.retargets.stranded_sessions, p.retargets.stranded_sessions);
+    assert_eq!(
+        a.retargets.retargeted_sessions,
+        p.retargets.retargeted_sessions
+    );
+    assert_eq!(
+        a.retargets.unstranded_sessions,
+        p.retargets.unstranded_sessions
+    );
+    assert_eq!(a.retargets.retarget_symbols, p.retargets.retarget_symbols);
     assert_eq!(a.fault_instants, p.fault_instants);
 
     // A different seed produces a different run (the soak is not
     // accidentally fault-free or schedule-independent).
     let mut other = sc;
     other.seed = 3;
-    let c = run_churn_rq(&other, &fabric, &RqRunOptions::default());
+    let c = run_churn(&other, &fabric, &RqRunOptions::default());
     assert_ne!(fingerprint(&a), fingerprint(&c));
 }
 
@@ -176,17 +198,22 @@ fn churn_soak_is_mode_invariant() {
     let fabric = Fabric::small();
     let sys_opts = RqRunOptions::default();
     assert_eq!(
-        sys_opts.pr.code_mode,
+        sys_opts.transport.code_mode,
         polyraptor_repro::polyraptor::CodeMode::Systematic,
         "systematic mode is the default"
     );
     let mut leg_opts = RqRunOptions::default();
-    leg_opts.pr.code_mode = polyraptor_repro::polyraptor::CodeMode::Legacy;
-    let a = run_churn_rq(&sc, &fabric, &sys_opts);
-    let b = run_churn_rq(&sc, &fabric, &leg_opts);
-    assert_eq!(a.timeouts + b.timeouts, 0, "zero timeouts in both modes");
+    leg_opts.transport.code_mode = polyraptor_repro::polyraptor::CodeMode::Legacy;
+    let a = run_churn(&sc, &fabric, &sys_opts);
+    let b = run_churn(&sc, &fabric, &leg_opts);
+    assert_eq!(
+        a.run.timeouts + b.run.timeouts,
+        0,
+        "zero timeouts in both modes"
+    );
     let fingerprint = |rep: &ChurnReport| -> Vec<(u32, u64, u64, usize)> {
-        rep.flows
+        rep.run
+            .flows
             .iter()
             .map(|f| (f.session, f.start.as_nanos(), f.finish.as_nanos(), f.bytes))
             .collect()
@@ -196,7 +223,7 @@ fn churn_soak_is_mode_invariant() {
         fingerprint(&b),
         "code mode must not perturb packet-level results"
     );
-    assert_eq!(a.fabric, b.fabric);
+    assert_eq!(a.run.fabric, b.run.fabric);
     assert_eq!(a.fault_instants, b.fault_instants);
 }
 
@@ -210,10 +237,10 @@ fn shared_risk_placement_compares_under_identical_churn() {
     let mut spread = sc;
     spread.shared_risk_placement = true;
     let fabric = Fabric::small();
-    let a = run_churn_rq(&sc, &fabric, &RqRunOptions::default());
-    let b = run_churn_rq(&spread, &fabric, &RqRunOptions::default());
-    assert_eq!(a.flows.len(), b.flows.len());
-    assert_eq!(a.timeouts + b.timeouts, 0);
+    let a = run_churn(&sc, &fabric, &RqRunOptions::default());
+    let b = run_churn(&spread, &fabric, &RqRunOptions::default());
+    assert_eq!(a.run.flows.len(), b.run.flows.len());
+    assert_eq!(a.run.timeouts + b.run.timeouts, 0);
     assert_eq!(
         a.fault_instants, b.fault_instants,
         "placement must not perturb the fault process"

@@ -4,7 +4,7 @@
 //! seed, plus the per-layer fabric accounting.
 
 use polyraptor_repro::netsim::{FaultMix, RoutingPolicy};
-use polyraptor_repro::workload::{run_churn_rq, ChurnReport, ChurnScenario, Fabric, RqRunOptions};
+use polyraptor_repro::workload::{run_churn, ChurnReport, ChurnScenario, Fabric, RqRunOptions};
 
 /// The sweep example's smoke shape (deg-4 Jellyfish) at a seed pair
 /// whose links-only fault draw severs minimal-unique paths of
@@ -39,7 +39,7 @@ fn run(layers: usize) -> ChurnReport {
         },
         ..Default::default()
     };
-    run_churn_rq(&link_churn(), &jellyfish(), &opts)
+    run_churn(&link_churn(), &jellyfish(), &opts)
 }
 
 #[test]
@@ -73,14 +73,18 @@ fn layers_cut_the_link_fault_completion_tail_on_jellyfish() {
 #[test]
 fn layered_churn_is_byte_identical_per_seed() {
     let fingerprint = |rep: &ChurnReport| -> Vec<(u32, u64, u64, usize)> {
-        rep.flows
+        rep.run
+            .flows
             .iter()
             .map(|f| (f.session, f.start.as_nanos(), f.finish.as_nanos(), f.bytes))
             .collect()
     };
     let a = run(3);
     let b = run(3);
-    assert_eq!(a.fabric, b.fabric, "identical fabric stats field for field");
+    assert_eq!(
+        a.run.fabric, b.run.fabric,
+        "identical fabric stats field for field"
+    );
     assert_eq!(fingerprint(&a), fingerprint(&b), "identical per-flow stats");
 }
 
@@ -88,6 +92,7 @@ fn layered_churn_is_byte_identical_per_seed() {
 fn layered_run_accounts_utilisation_per_layer() {
     let rep = run(4);
     let used = rep
+        .run
         .fabric
         .layer_forwarded
         .iter()
@@ -98,16 +103,16 @@ fn layered_run_accounts_utilisation_per_layer() {
         "flow hashing must spread fetches over >= 2 of 4 layers (used {used})"
     );
     assert_eq!(
-        rep.fabric.layer_forwarded[4..].iter().sum::<u64>(),
+        rep.run.fabric.layer_forwarded[4..].iter().sum::<u64>(),
         0,
         "slots past the policy's layer count stay empty"
     );
     // Minimal-only runs keep everything in slot 0.
     let minimal = run(1);
     assert_eq!(
-        minimal.fabric.layer_forwarded[1..].iter().sum::<u64>(),
+        minimal.run.fabric.layer_forwarded[1..].iter().sum::<u64>(),
         0,
         "single-layer policy forwards only on layer 0"
     );
-    assert_eq!(minimal.fabric.layer_reassignments, 0);
+    assert_eq!(minimal.run.fabric.layer_reassignments, 0);
 }

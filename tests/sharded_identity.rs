@@ -7,7 +7,7 @@
 //! distributed — fingerprints at 1/2/4 shards must match field for
 //! field on all three topology families.
 
-use polyraptor_repro::workload::{run_churn_rq, ChurnReport, ChurnScenario, Fabric, RqRunOptions};
+use polyraptor_repro::workload::{run_churn, ChurnReport, ChurnScenario, Fabric, RqRunOptions};
 
 /// Mixed churn: the default [`polyraptor_repro::netsim::FaultMix`]
 /// draws links, flaps, switches, and host failures, so the identity
@@ -20,7 +20,8 @@ fn scenario() -> ChurnScenario {
 }
 
 fn fingerprint(rep: &ChurnReport) -> Vec<(u32, u64, u64, usize)> {
-    rep.flows
+    rep.run
+        .flows
         .iter()
         .map(|f| (f.session, f.start.as_nanos(), f.finish.as_nanos(), f.bytes))
         .collect()
@@ -31,7 +32,7 @@ fn run(fabric: &Fabric, shards: usize) -> ChurnReport {
         shards,
         ..Default::default()
     };
-    run_churn_rq(&scenario(), fabric, &opts)
+    run_churn(&scenario(), fabric, &opts)
 }
 
 #[test]
@@ -44,7 +45,7 @@ fn sharded_run_byte_identical_to_serial() {
     for (name, fabric) in fabrics {
         let serial = run(&fabric, 1);
         assert_eq!(
-            serial.fabric.shard_epochs, 0,
+            serial.run.fabric.shard_epochs, 0,
             "{name}: one shard is the serial loop, no epochs"
         );
         for shards in [2usize, 4] {
@@ -53,8 +54,8 @@ fn sharded_run_byte_identical_to_serial() {
             // field for field: forwarding, drops, trims, faults,
             // reroutes, per-layer accounting, telemetry-visible stats.
             assert_eq!(
-                serial.fabric.shard_invariant(),
-                sharded.fabric.shard_invariant(),
+                serial.run.fabric.shard_invariant(),
+                sharded.run.fabric.shard_invariant(),
                 "{name}: fabric stats diverged at {shards} shards"
             );
             assert_eq!(
@@ -62,26 +63,29 @@ fn sharded_run_byte_identical_to_serial() {
                 fingerprint(&sharded),
                 "{name}: per-flow timings diverged at {shards} shards"
             );
-            assert_eq!(serial.timeouts, sharded.timeouts, "{name}");
+            assert_eq!(serial.run.timeouts, sharded.run.timeouts, "{name}");
             assert_eq!(
-                serial.stranded_sessions, sharded.stranded_sessions,
+                serial.retargets.stranded_sessions, sharded.retargets.stranded_sessions,
                 "{name}"
             );
             assert_eq!(
-                serial.retargeted_sessions, sharded.retargeted_sessions,
+                serial.retargets.retargeted_sessions, sharded.retargets.retargeted_sessions,
                 "{name}"
             );
-            assert_eq!(serial.retarget_symbols, sharded.retarget_symbols, "{name}");
+            assert_eq!(
+                serial.retargets.retarget_symbols, sharded.retargets.retarget_symbols,
+                "{name}"
+            );
             assert_eq!(serial.fault_instants, sharded.fault_instants, "{name}");
             // The sharded loop really ran sharded: epochs advanced and
             // traffic crossed shard boundaries (every family routes
             // through a spine/core another shard owns at this scale).
             assert!(
-                sharded.fabric.shard_epochs > 0,
+                sharded.run.fabric.shard_epochs > 0,
                 "{name}: {shards}-shard run never opened an epoch"
             );
             assert!(
-                sharded.fabric.cross_shard_packets > 0,
+                sharded.run.fabric.cross_shard_packets > 0,
                 "{name}: {shards}-shard run exchanged no cross-shard packets"
             );
         }

@@ -12,8 +12,7 @@
 
 use polyraptor_repro::netsim::SpanMark;
 use polyraptor_repro::workload::{
-    run_churn_rq, run_churn_tcp, ChurnReport, ChurnScenario, Fabric, RqRunOptions, TcpRunOptions,
-    TelemetryOptions,
+    run_churn, ChurnReport, ChurnScenario, Fabric, RqRunOptions, TcpRunOptions, TelemetryOptions,
 };
 
 fn scenario(seed: u64) -> ChurnScenario {
@@ -25,6 +24,7 @@ fn scenario(seed: u64) -> ChurnScenario {
 /// Everything observable about a run except the telemetry itself.
 fn fingerprint(rep: &ChurnReport) -> (Vec<(u32, u64, u64, u64)>, String) {
     let flows = rep
+        .run
         .flows
         .iter()
         .map(|f| {
@@ -36,7 +36,7 @@ fn fingerprint(rep: &ChurnReport) -> (Vec<(u32, u64, u64, u64)>, String) {
             )
         })
         .collect();
-    (flows, format!("{:?}", rep.fabric))
+    (flows, format!("{:?}", rep.run.fabric))
 }
 
 #[test]
@@ -44,14 +44,17 @@ fn recorder_on_is_byte_identical_to_recorder_off_across_seeds() {
     let fabric = Fabric::small();
     for seed in [1u64, 2, 5, 9] {
         let sc = scenario(seed);
-        let off = run_churn_rq(&sc, &fabric, &RqRunOptions::default());
-        assert!(off.telemetry.is_none(), "telemetry is off by default");
+        let off = run_churn(&sc, &fabric, &RqRunOptions::default());
+        assert!(off.run.telemetry.is_none(), "telemetry is off by default");
         let opts = RqRunOptions {
             telemetry: TelemetryOptions::enabled_default(),
             ..Default::default()
         };
-        let on = run_churn_rq(&sc, &fabric, &opts);
-        assert!(on.telemetry.is_some(), "enabled run returns a recording");
+        let on = run_churn(&sc, &fabric, &opts);
+        assert!(
+            on.run.telemetry.is_some(),
+            "enabled run returns a recording"
+        );
         assert_eq!(
             fingerprint(&off),
             fingerprint(&on),
@@ -64,14 +67,14 @@ fn recorder_on_is_byte_identical_to_recorder_off_across_seeds() {
 fn tcp_runner_is_also_unperturbed_by_recording() {
     let fabric = Fabric::small();
     let sc = scenario(2);
-    let off = run_churn_tcp(&sc, &fabric, &TcpRunOptions::default());
+    let off = run_churn(&sc, &fabric, &TcpRunOptions::default());
     let opts = TcpRunOptions {
         telemetry: TelemetryOptions::enabled_default(),
         ..Default::default()
     };
-    let on = run_churn_tcp(&sc, &fabric, &opts);
+    let on = run_churn(&sc, &fabric, &opts);
     assert_eq!(fingerprint(&off), fingerprint(&on));
-    let t = on.telemetry.expect("enabled run records");
+    let t = on.run.telemetry.expect("enabled run records");
     assert!(!t.recorder.buckets().is_empty());
 }
 
@@ -83,8 +86,8 @@ fn recorded_churn_has_annotations_spans_and_exportable_series() {
         telemetry: TelemetryOptions::enabled_default(),
         ..Default::default()
     };
-    let rep = run_churn_rq(&sc, &fabric, &opts);
-    let t = rep.telemetry.expect("enabled run records");
+    let rep = run_churn(&sc, &fabric, &opts);
+    let t = rep.run.telemetry.expect("enabled run records");
 
     // Time series: buckets cover the run and the CSV exporter emits
     // one row per bucket plus the header.
@@ -93,7 +96,7 @@ fn recorded_churn_has_annotations_spans_and_exportable_series() {
     assert_eq!(t.fabric_series_csv().lines().count(), buckets.len() + 1);
     let delivered: u64 = buckets.iter().map(|b| b.delivered).sum();
     assert_eq!(
-        delivered, rep.fabric.delivered,
+        delivered, rep.run.fabric.delivered,
         "bucket deltas must sum to the run totals"
     );
 
