@@ -100,7 +100,7 @@ fn reroute_cost(c: &mut Criterion) {
     });
 
     // Incremental repair of the same failures: surgery plus a handful of
-    // per-destination rebuilds instead of 250 BFS trees. The pristine
+    // per-column rebuilds instead of 50 access-switch BFS trees. The pristine
     // topology is cloned outside the timed section (iter_batched), so
     // the comparison against masked_recompute_k10 is repair-work only.
     // Note `core_switches()` returns every host-free switch (aggs too);
@@ -108,8 +108,8 @@ fn reroute_cost(c: &mut Criterion) {
     let pristine = Topology::fat_tree(10, 1_000_000_000, 10_000);
     let true_core = netsim::NodeId(pristine.node_count() as u32 - 1);
     // Single link failure: one agg–core uplink. The core keeps serving
-    // 9 pods but loses its only path into the tenth, so that pod's 25
-    // destination trees need a BFS rebuild.
+    // 9 pods but loses its only path into the tenth, so that pod's 5
+    // edge-switch columns need a BFS rebuild.
     let mut link_mask = FaultMask::new();
     link_mask.fail_link(&pristine, true_core, 0);
     g.bench_function("repair_single_link_k10", |b| {

@@ -31,6 +31,12 @@
 //! machine has >= 4 cores — on smaller runners the ratios are recorded
 //! in `BENCH_csr.json` and the verdict reads `skipped`.
 //!
+//! The tables section builds the k=16 fat-tree and the 5 000-host
+//! Jellyfish routed at 1 and 4 layers and records the build time and
+//! `Topology::route_table_bytes` (route columns are keyed by access
+//! switch, so the 4-layer Jellyfish fits in ~58 MB); it records, it
+//! does not gate.
+//!
 //! The shard section runs the same two large fabrics through a whole
 //! seeded churn line (fetches under faults, end to end), serial vs 4
 //! conservative-window event-loop shards (`SimConfig::shards`), pins
@@ -53,7 +59,7 @@ use std::time::Instant;
 
 use netsim::{
     Agent, Ctx, Dest, FaultMask, FlowId, NoTelemetry, NodeId, NodeKind, Packet, Recorder,
-    SimConfig, SimPayload, Simulator, TelemetrySink, Topology,
+    RoutingPolicy, SimConfig, SimPayload, Simulator, TelemetrySink, Topology,
 };
 use workload::{run_churn, ChurnReport, ChurnScenario, Fabric, RqRunOptions};
 
@@ -470,6 +476,41 @@ fn parallel_routes(
     }
 }
 
+struct TableBench {
+    label: &'static str,
+    layers: usize,
+    build_s: f64,
+    bytes: usize,
+}
+
+/// Build one of the large fabrics routed under `layers` layers: the
+/// median wall time of graph construction plus route computation, and
+/// the route tables' bytes ([`Topology::route_table_bytes`], a
+/// deterministic figure).
+fn route_tables(
+    graph: &dyn Fn() -> Topology,
+    label: &'static str,
+    layers: usize,
+    repeats: usize,
+) -> TableBench {
+    let mut samples = Vec::with_capacity(repeats);
+    let mut bytes = 0;
+    for _ in 0..repeats {
+        let start = Instant::now();
+        let mut t = graph();
+        t.set_policy(RoutingPolicy::layered(layers, 1));
+        t.compute_routes();
+        samples.push(start.elapsed().as_secs_f64());
+        bytes = t.route_table_bytes();
+    }
+    TableBench {
+        label,
+        layers,
+        build_s: median(samples),
+        bytes,
+    }
+}
+
 struct ShardBench {
     label: &'static str,
     hosts: usize,
@@ -603,6 +644,16 @@ fn main() {
             repeats.min(3),
         ),
     ];
+    // Route-table build time and memory on the same two fabrics, at 1
+    // and 4 layers.
+    let k16 = || Topology::fat_tree_graph(16, 1_000_000_000, 10_000);
+    let jf = || Topology::jellyfish_graph(250, 12, 20, 1_000_000_000, 10_000, 1);
+    let table_benches = [
+        route_tables(&k16, "fat_tree_k16", 1, repeats.min(5)),
+        route_tables(&k16, "fat_tree_k16", 4, repeats.min(5)),
+        route_tables(&jf, "jellyfish_5000", 1, repeats.min(5)),
+        route_tables(&jf, "jellyfish_5000", 4, repeats.min(5)),
+    ];
     // The sharded event loop on the same two large churn lines: the
     // whole seeded run end to end, serial vs 4 conservative-window
     // shard workers.
@@ -700,6 +751,16 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(", ");
+    let tables_json = table_benches
+        .iter()
+        .map(|b| {
+            format!(
+                "\"{}_layers{}\": {{\"build_s\": {:.4}, \"route_table_bytes\": {}}}",
+                b.label, b.layers, b.build_s, b.bytes,
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(", ");
     let json = format!(
         "{{\n  \"schema\": \"polyraptor-bench-csr/v1\",\n  \"mode\": \"{}\",\n  \
          \"fabric\": {{\"kind\": \"fat_tree\", \"k\": {k}, \"hosts\": {hosts}, \
@@ -718,6 +779,7 @@ fn main() {
          \"parallel\": {{\"threads\": {par_threads}, \"cores\": {cores}, \
          \"min_par_ratio\": {min_par_ratio}, \"enforced\": {par_enforced}, \
          {par_json}}},\n  \
+         \"tables\": {{{tables_json}}},\n  \
          \"shard\": {{\"shards\": {shard_count}, \"cores\": {cores}, \
          \"min_shard_ratio\": {min_shard_ratio}, \"enforced\": {shard_enforced}, \
          {shard_json}}},\n  \
@@ -791,6 +853,15 @@ fn main() {
             "FAIL".to_string()
         },
     );
+    for b in &table_benches {
+        println!(
+            "route tables {} at {} layer(s): built in {:.3} s, {:.1} MB",
+            b.label,
+            b.layers,
+            b.build_s,
+            b.bytes as f64 / 1e6,
+        );
+    }
     for b in &shard_benches {
         println!(
             "sharded event loop ({shard_count} shards) {}: churn {:.1} ms -> {:.1} ms \

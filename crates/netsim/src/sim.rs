@@ -344,8 +344,9 @@ pub struct FabricStats {
     /// Reroutes served by incremental [`Topology::repair_routes`]
     /// surgery instead of a full recomputation.
     pub reroutes_incremental: u64,
-    /// Destination trees rebuilt by per-destination BFS across all
-    /// reroutes (full recomputations count every destination).
+    /// (layer, access-switch) route columns rebuilt by a per-column
+    /// search across all reroutes (full recomputations count every
+    /// column; host and host-link events rebuild none).
     pub route_dests_rebuilt: u64,
     /// Multicast trees rebuilt during reroutes.
     pub trees_repaired: u64,
@@ -355,7 +356,7 @@ pub struct FabricStats {
     /// costs its flushed packets, never a route recomputation.
     pub flaps_coalesced: u64,
     /// Reroutes whose delta contained restorations that were healed by
-    /// bounded restore surgery (per-destination rebuilds only where a
+    /// bounded restore surgery (per-column rebuilds only where a
     /// distance could shrink) instead of a full recomputation.
     pub restores_incremental: u64,
     /// Per-layer utilisation: unicast packets forwarded at switches,

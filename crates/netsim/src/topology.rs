@@ -34,20 +34,23 @@
 //!   are `ports[port_off[n] .. port_off[n+1]]` and `port_off[n] + p` is
 //!   the *global port id* of `(n, p)`. The graph is built through an
 //!   edge log and frozen into the arena by the first route computation.
-//! - **Routes** (per layer): one flat `buf: Vec<u16>` holding a
-//!   fixed-capacity cell per `(node, destination)` — capacity
-//!   `deg(node)`, at arena offset `h·P + port_off[n]` for `P` total
-//!   directed ports — plus a `len: Vec<u16>` table (`len[h·N + n]`)
-//!   giving the occupied prefix. The advertised ports are that prefix,
-//!   always in ascending port order. Because a cell can never overflow
-//!   (a node advertises at most `deg(n)` distinct ports), failure
-//!   excision and restore surgery shift entries *in place* and never
-//!   reallocate. The arenas are column-major — destination column `h`
-//!   owns contiguous `buf[h·P..]`/`len[h·N..]` regions — so route
-//!   (re)computation can hand disjoint columns to parallel workers as
-//!   a plain `chunks_mut` partition (see [`crate::par`]).
-//! - **Distances / weights** (per layer): flat `dist[h·N + n]` and a
+//! - **Routes** (per layer): one column per *access switch* (ToR), not
+//!   per host — the hosts behind a ToR differ only in the last hop.
+//!   Column `c` holds a fixed-capacity cell per `(node, c)` in one flat
+//!   `buf: Vec<u16>` — capacity `deg(node)`, at arena offset
+//!   `c·P + port_off[n]` for `P` total directed ports — plus a
+//!   `len: Vec<u16>` table (`len[c·N + n]`) giving the occupied prefix:
+//!   the advertised ports, in ascending order. A cell never overflows
+//!   (a node advertises at most `deg(n)` distinct ports), so failure
+//!   excision and restore surgery shift entries *in place*. The arenas
+//!   are column-major, so route (re)computation can hand disjoint
+//!   columns to parallel workers as a plain `chunks_mut` partition
+//!   (see [`crate::par`]).
+//! - **Distances / weights** (per layer): flat `dist[c·N + n]` and a
 //!   per-layer weight arena indexed by global port id.
+//! - **Access table**: per host, its ToR, the ToR's column and port
+//!   down to the host, and a cut-off bit (see
+//!   [`Topology::try_next_ports_at`]).
 //!
 //! Three generators are provided: [`Topology::fat_tree`] (the paper's
 //! evaluation fabric, k = 10 → 250 hosts), [`Topology::leaf_spine`]
@@ -152,73 +155,64 @@ impl RoutingPolicy {
     }
 }
 
-/// One layer's routing state as flat arenas: advertised-port cells and
-/// weighted distances, per (node, destination-host), maintained in
-/// lockstep by full recomputation and incremental repair alike.
-///
-/// The arenas are **column-major**: destination column `h` owns the
-/// contiguous regions `buf[h·P .. (h+1)·P]`, `len[h·N .. (h+1)·N]`, and
-/// `dist[h·N .. (h+1)·N]` (`P` = total directed port count, `N` = node
-/// count). The route cell for `(node u, dst h)` occupies
-/// `buf[h·P + port_off[u] ..][..deg(u)]`; its occupied prefix length is
-/// `len[h·N + u]` and the prefix is always in ascending port order (the
-/// order full recomputation records), so in-place surgery stays
-/// bit-identical to a from-scratch build. Column-major is what lets the
-/// parallel (re)compute paths hand each destination column to a worker
-/// as a safe `chunks_mut` slice partition — no two columns share bytes.
+/// One layer's routing state as flat column-major arenas (see the
+/// module docs): advertised-port cells and weighted distances per
+/// (node, access-switch column), maintained in lockstep by full
+/// recomputation and incremental repair alike. Column `c` routes
+/// towards `tors[c]` over the switch graph, so host rows stay empty and
+/// no cell advertises a port down to a host. Cells keep the ascending
+/// order full recomputation records, so in-place surgery stays
+/// bit-identical to a from-scratch build.
 #[derive(Debug, Clone, Default)]
 struct LayerTables {
     /// Node count `N` (row stride of `len` and `dist`).
     n_nodes: usize,
-    /// Host count `H` (column count of all three arenas).
-    n_hosts: usize,
     /// Total directed port count `P` (column stride of `buf`).
     n_ports: usize,
     /// Route arena: fixed-capacity advertised-port cells (see above).
     buf: Vec<u16>,
-    /// `len[h·N + node]` = occupied prefix of that route cell.
+    /// `len[c·N + node]` = occupied prefix of that route cell.
     len: Vec<u16>,
-    /// `dist[h·N + node]` = weighted distance from `node` to that host
-    /// under the mask the routes were computed with (`u32::MAX` =
-    /// unreachable). Restore repair uses it to decide in O(degree) per
-    /// destination whether a restored element can shorten any path.
+    /// `dist[c·N + node]` = weighted distance from `node` to that
+    /// column's access switch (`u32::MAX` = unreachable); restore
+    /// repair uses it to decide whether a path can shrink.
     dist: Vec<u32>,
 }
 
 impl LayerTables {
-    /// Arena offset and capacity of the route cell for `(u, h_idx)`.
+    /// Arena offset and capacity of the route cell for `(u, col)`.
     #[inline]
-    fn cell(&self, off: &[u32], u: usize, h_idx: usize) -> (usize, usize) {
+    fn cell(&self, off: &[u32], u: usize, col: usize) -> (usize, usize) {
         let base = off[u] as usize;
         let deg = off[u + 1] as usize - base;
-        (h_idx * self.n_ports + base, deg)
+        (col * self.n_ports + base, deg)
     }
 
-    /// The advertised ports of `(u, h_idx)`: the cell's occupied prefix.
+    /// The advertised ports of `(u, col)`: the cell's occupied prefix.
     #[inline]
-    fn advertised(&self, off: &[u32], u: usize, h_idx: usize) -> &[u16] {
-        let (start, _) = self.cell(off, u, h_idx);
-        let l = self.len[h_idx * self.n_nodes + u] as usize;
+    fn advertised(&self, off: &[u32], u: usize, col: usize) -> &[u16] {
+        let (start, _) = self.cell(off, u, col);
+        let l = self.len[col * self.n_nodes + u] as usize;
         &self.buf[start..start + l]
     }
 
-    /// Weighted distance from `u` to destination `h_idx`.
+    /// Weighted distance from `u` to column `col`'s access switch.
     #[inline]
-    fn dist_to(&self, u: usize, h_idx: usize) -> u32 {
-        self.dist[h_idx * self.n_nodes + u]
+    fn dist_to(&self, u: usize, col: usize) -> u32 {
+        self.dist[col * self.n_nodes + u]
     }
 
     #[inline]
-    fn set_dist(&mut self, u: usize, h_idx: usize, d: u32) {
-        self.dist[h_idx * self.n_nodes + u] = d;
+    fn set_dist(&mut self, u: usize, col: usize, d: u32) {
+        self.dist[col * self.n_nodes + u] = d;
     }
 
     /// Insert `p` into the cell keeping ascending order (no-op when
     /// already advertised). A cell holds distinct port indices of a
     /// `deg`-port node at capacity `deg`, so the shift always fits.
-    fn insert_port(&mut self, off: &[u32], u: usize, h_idx: usize, p: u16) {
-        let (start, deg) = self.cell(off, u, h_idx);
-        let li = h_idx * self.n_nodes + u;
+    fn insert_port(&mut self, off: &[u32], u: usize, col: usize, p: u16) {
+        let (start, deg) = self.cell(off, u, col);
+        let li = col * self.n_nodes + u;
         let l = self.len[li] as usize;
         if let Err(pos) = self.buf[start..start + l].binary_search(&p) {
             debug_assert!(l < deg, "route cell overflow");
@@ -229,19 +223,26 @@ impl LayerTables {
         }
     }
 
-    /// Make `p` the cell's only advertised port.
-    #[inline]
-    fn set_single(&mut self, off: &[u32], u: usize, h_idx: usize, p: u16) {
-        let (start, _) = self.cell(off, u, h_idx);
-        self.buf[start] = p;
-        self.len[h_idx * self.n_nodes + u] = 1;
+    /// Bytes held by the three arenas.
+    fn bytes(&self) -> usize {
+        2 * self.buf.len() + 2 * self.len.len() + 4 * self.dist.len()
     }
+}
 
-    /// Empty the cell.
-    #[inline]
-    fn clear_cell(&mut self, u: usize, h_idx: usize) {
-        self.len[h_idx * self.n_nodes + u] = 0;
-    }
+/// Where a host attaches to the fabric — the one row a host-destination
+/// lookup needs besides its access switch's route column.
+#[derive(Debug, Clone, Copy)]
+struct Access {
+    /// The host's access switch (the peer of its single port).
+    tor: u32,
+    /// The access switch's route column.
+    col: u32,
+    /// The access switch's port down to the host.
+    port: u16,
+    /// Under the mask the tables were last computed or repaired with,
+    /// the host, its access link or its access switch is down: nothing
+    /// routes to it.
+    cut: bool,
 }
 
 /// Outcome of an incremental [`Topology::repair_routes`] call —
@@ -251,17 +252,19 @@ pub struct RouteRepair {
     /// The repair fell back to a full [`Topology::compute_routes_masked`]
     /// (routes were never computed under the current policy).
     pub full: bool,
-    /// (layer, destination) columns rebuilt by a per-destination
-    /// search. Equals `hosts × layers` on a full fallback; usually a
-    /// small fraction of it after a single link or switch failure.
+    /// (layer, access-switch) columns rebuilt by a per-column search:
+    /// all of them on a full fallback, usually a few after a link or
+    /// switch failure, none after host and host-link events.
     pub dests_rebuilt: usize,
-    /// (layer, destination) route columns touched by dead-entry surgery
-    /// alone (advertised ports removed without any distance change).
+    /// (layer, access-switch) route columns touched by dead-entry
+    /// surgery alone (advertised ports removed without any distance
+    /// change).
     pub dests_touched: usize,
-    /// Restored elements (undirected links + nodes) in the delta. When
-    /// `full` is false these were healed by bounded restore surgery —
-    /// re-advertising equal-cost ports in place and BFS-rebuilding only
-    /// destinations whose distance can shrink.
+    /// Restored elements (undirected links + nodes, host ones included)
+    /// in the delta. When `full` is false these were healed by bounded
+    /// restore surgery — re-advertising equal-cost ports in place and
+    /// BFS-rebuilding only access-switch columns whose distance can
+    /// shrink.
     pub restored: usize,
 }
 
@@ -285,6 +288,12 @@ pub struct Topology {
     ports_stale: bool,
     hosts: Vec<NodeId>,
     host_index: Vec<Option<u32>>, // NodeId -> index into `hosts`
+    /// Per host (dense index): its attachment, indexed by
+    /// [`Topology::compute_routes_masked`].
+    access: Vec<Access>,
+    /// The access switches in id order; `tors[c]` is route column `c`'s
+    /// destination.
+    tors: Vec<NodeId>,
     /// One routing table set per layer (`layers[0]` = minimal routes).
     /// Empty until [`Topology::compute_routes`].
     layers: Vec<LayerTables>,
@@ -337,6 +346,8 @@ impl Topology {
             ports_stale: false,
             hosts: Vec::new(),
             host_index: Vec::new(),
+            access: Vec::new(),
+            tors: Vec::new(),
             layers: Vec::new(),
             weights: Vec::new(),
             policy: RoutingPolicy::minimal(),
@@ -352,7 +363,7 @@ impl Topology {
     /// `1` (the default) runs the serial loop on the calling thread —
     /// the exact pre-parallel code path; `0` resolves to the number of
     /// available cores; any other value caps the scoped worker pool
-    /// (see [`crate::par`]). Every destination column is a pure,
+    /// (see [`crate::par`]). Every access-switch column is a pure,
     /// disjoint unit of work, so tables are byte-identical at every
     /// setting — this is a throughput knob, never a behaviour knob.
     pub fn set_parallelism(&mut self, parallelism: usize) {
@@ -543,15 +554,18 @@ impl Topology {
     /// [`Topology::try_next_ports`]).
     ///
     /// The layer arenas are resized in place, so every recompute after
-    /// the first reuses the existing multi-megabyte allocations instead
-    /// of cloning or reallocating nested tables. Columns are rebuilt by
-    /// up to [`Topology::set_parallelism`] scoped workers — each owns a
-    /// disjoint contiguous slice of the column-major arenas, so the
-    /// result is byte-identical at every thread count.
+    /// the first reuses the existing allocations; columns are rebuilt by
+    /// up to [`Topology::set_parallelism`] workers.
+    ///
+    /// # Panics
+    /// Panics if a host does not have exactly one port, to a switch:
+    /// routes are keyed by the destination's access switch, and the
+    /// host's single port is the last hop.
     pub fn compute_routes_masked(&mut self, mask: &FaultMask) {
         self.freeze_ports();
+        self.index_access();
         let n = self.node_count();
-        let n_hosts = self.hosts.len();
+        let n_cols = self.tors.len();
         let p_total = self.ports.len();
         let n_layers = self.policy.layers;
         self.ensure_weights();
@@ -559,45 +573,86 @@ impl Topology {
         self.layers.resize_with(n_layers, LayerTables::default);
         for tab in &mut self.layers {
             tab.n_nodes = n;
-            tab.n_hosts = n_hosts;
             tab.n_ports = p_total;
-            tab.buf.resize(p_total * n_hosts, 0);
-            tab.len.resize(n * n_hosts, 0);
-            tab.dist.resize(n_hosts * n, u32::MAX);
+            tab.buf.resize(p_total * n_cols, 0);
+            tab.len.resize(n * n_cols, 0);
+            tab.dist.resize(n_cols * n, u32::MAX);
         }
-        let mut jobs: Vec<ColumnJob> = Vec::with_capacity(n_layers * n_hosts);
+        self.rebuild_columns(mask, None);
+        self.mark_cut(mask);
+        self.routes_policy = Some(self.policy);
+        self.routes_mask = mask.clone();
+    }
+
+    /// Rebuild every (layer, column) — or only those flagged in `dirty`
+    /// — against `mask`, on up to [`Topology::set_parallelism`] scoped
+    /// workers. Each job owns its column's disjoint `chunks_mut` slices
+    /// of the arenas, so the result is identical to the serial loop.
+    fn rebuild_columns(&mut self, mask: &FaultMask, dirty: Option<&[Vec<bool>]>) {
+        let mut jobs = Vec::new();
         for (layer, tab) in self.layers.iter_mut().enumerate() {
-            column_jobs(
-                tab,
-                &self.weights[layer],
-                layer == 0,
-                &self.hosts,
-                None,
-                &mut jobs,
-            );
+            let (n, p, nc) = (tab.n_nodes, tab.n_ports, self.tors.len());
+            let bufs = column_chunks(&mut tab.buf, p, nc);
+            let lens = column_chunks(&mut tab.len, n, nc);
+            let dists = column_chunks(&mut tab.dist, n, nc);
+            for (col, ((buf, len), dist)) in bufs.into_iter().zip(lens).zip(dists).enumerate() {
+                if dirty.is_some_and(|d| !d[layer][col]) {
+                    continue;
+                }
+                jobs.push(ColumnJob {
+                    weights: &self.weights[layer],
+                    uniform: layer == 0,
+                    root: self.tors[col],
+                    buf,
+                    len,
+                    dist,
+                });
+            }
         }
-        let (ports, port_off) = (&self.ports, &self.port_off);
+        let (kinds, ports, port_off) = (&self.kinds, &self.ports, &self.port_off);
         crate::par::scatter(
             crate::par::resolve(self.parallelism),
             jobs,
             ColumnScratch::default,
-            |scratch, job| {
-                compute_column(
-                    ports,
-                    port_off,
-                    job.weights,
-                    job.uniform,
-                    mask,
-                    job.host,
-                    job.buf,
-                    job.len,
-                    job.dist,
-                    scratch,
-                );
-            },
+            |scratch, job| compute_column(kinds, ports, port_off, mask, job, scratch),
         );
-        self.routes_policy = Some(self.policy);
-        self.routes_mask = mask.clone();
+    }
+
+    /// Index every host's attachment and key one route column per
+    /// access switch, in switch-id order.
+    fn index_access(&mut self) {
+        let uplinks: Vec<Port> = self
+            .hosts
+            .iter()
+            .map(|&h| match self.node_ports(h) {
+                [up] if self.kind(up.peer) == NodeKind::Switch => *up,
+                _ => panic!(
+                    "host {} must have exactly one port, to a switch: routes are keyed by \
+                     the access switch",
+                    h.0
+                ),
+            })
+            .collect();
+        self.tors = uplinks.iter().map(|up| up.peer).collect();
+        self.tors.sort_unstable();
+        self.tors.dedup();
+        self.access = uplinks
+            .iter()
+            .map(|up| Access {
+                tor: up.peer.0,
+                col: self.tors.binary_search(&up.peer).expect("indexed above") as u32,
+                port: up.peer_port,
+                cut: false,
+            })
+            .collect();
+    }
+
+    /// Recompute every host's cut-off bit under `mask`.
+    fn mark_cut(&mut self, mask: &FaultMask) {
+        for (a, &h) in self.access.iter_mut().zip(&self.hosts) {
+            a.cut =
+                mask.node_is_down(h) || mask.link_is_down(h, 0) || mask.node_is_down(NodeId(a.tor));
+        }
     }
 
     /// Rebuild the per-layer link-weight arenas iff the cached ones are
@@ -681,14 +736,14 @@ impl Topology {
     /// was the node's last advertised port in that layer (any surviving
     /// advertised port still reaches a neighbour strictly closer under
     /// the layer's weights, so every distance is preserved by
-    /// induction); only those (layer, destination) columns are rebuilt
-    /// by a per-destination search. Hosts are leaves that nothing routes
-    /// through, so emptying a host's own cell never invalidates the
-    /// tree.
+    /// induction); only those (layer, access-switch) columns are rebuilt
+    /// by a per-column search. Columns route over the switch graph
+    /// alone, so a host or host-link event touches no column: it only
+    /// flips the host's cut-off bit, recomputed here for every host.
     ///
     /// **Restorations.** A restored element can only *shrink* distances.
     /// Using each layer's retained distance table the repair decides per
-    /// (layer, destination) in O(degree) whether the restored link/node
+    /// (layer, column) in O(degree) whether the restored link/node
     /// lies on a strictly shorter weighted path: if not, the restoration
     /// is pure surgery — the restored ports are re-advertised exactly
     /// where they are equal-cost next hops — and only columns whose
@@ -697,11 +752,8 @@ impl Topology {
     ///
     /// Falls back to a full [`Topology::compute_routes_masked`] — and
     /// says so in the returned [`RouteRepair`] — only when routes were
-    /// never computed under the current policy. The old non-minimal and
-    /// mass-delta fallbacks are gone: every layer repairs incrementally,
-    /// and a mass delta simply rebuilds its (large) dirty column set —
-    /// never more work than the full recompute it used to trigger, since
-    /// the full path visits every column anyway.
+    /// never computed under the current policy; a mass delta simply
+    /// rebuilds its (large) dirty column set.
     ///
     /// The result is always identical to a full recomputation against
     /// `mask` (property-tested in `fabric_invariants`).
@@ -720,27 +772,18 @@ impl Topology {
             .collect();
         let restored = restored_undirected.len() + restored_nodes.len();
         let n_layers = self.policy.layers;
-        let full = RouteRepair {
-            full: true,
-            dests_rebuilt: self.hosts.len() * n_layers,
-            dests_touched: self.hosts.len() * n_layers,
-            restored,
-        };
         if self.routes_policy != Some(self.policy) || self.weights_policy != Some(self.policy) {
             self.compute_routes_masked(mask);
-            return full;
+            let all = self.tors.len() * n_layers;
+            return RouteRepair {
+                full: true,
+                dests_rebuilt: all,
+                dests_touched: all,
+                restored,
+            };
         }
         let new_links = mask.new_links_since(&self.routes_mask);
         let new_nodes = mask.new_nodes_since(&self.routes_mask);
-        if new_links.is_empty() && new_nodes.is_empty() && restored == 0 {
-            self.routes_mask = mask.clone();
-            return RouteRepair {
-                full: false,
-                dests_rebuilt: 0,
-                dests_touched: 0,
-                restored: 0,
-            };
-        }
         // Every newly dead directed (node, port) hop: the failed links
         // (masks store both directions) plus each port of — and into —
         // a newly failed node.
@@ -753,74 +796,61 @@ impl Topology {
         }
         dead.sort_unstable();
         dead.dedup();
+        self.mark_cut(mask);
         // Surgery runs layer-major, dead-entry-major within a layer:
-        // each dead (u, p) sweeps node u's route cells across all H
-        // destination columns (one cell per column stride in the
-        // column-major arena), shifting entries in place and flagging
-        // per-destination outcomes in bitmaps that are aggregated
-        // afterwards.
-        let n_hosts = self.hosts.len();
+        // each dead (u, p) sweeps node u's route cells across every
+        // column (one cell per column stride in the column-major
+        // arena), shifting entries in place and flagging per-column
+        // outcomes in bitmaps that are aggregated afterwards. Host rows
+        // are always empty and no cell advertises a port down to a
+        // host, so host entries find nothing to excise.
+        let n_cols = self.tors.len();
         let mut dirty_cols: Vec<Vec<bool>> = Vec::with_capacity(n_layers);
         let mut touched_total = 0usize;
         for layer in 0..n_layers {
-            let mut col_touched = vec![false; n_hosts];
-            let mut col_dirty = vec![false; n_hosts];
-            // A newly failed destination host needs its column cleared —
+            let mut col_touched = vec![false; n_cols];
+            let mut col_dirty = vec![false; n_cols];
+            // A newly failed access switch needs its column cleared —
             // the rebuild handles that uniformly.
-            for &w in &new_nodes {
-                if let Some(h) = self.host_index[w.0 as usize] {
-                    col_dirty[h as usize] = true;
+            for w in &new_nodes {
+                if let Ok(c) = self.tors.binary_search(w) {
+                    col_dirty[c] = true;
                 }
             }
             let tab = &mut self.layers[layer];
             let (nn, pt) = (tab.n_nodes, tab.n_ports);
             for &(u, p) in &dead {
                 // A live switch that loses its last advertised port may
-                // now be farther from (or cut off from) the destination,
-                // which can cascade; those columns are rebuilt. Dead
-                // nodes' distances are irrelevant (their cells are
-                // cleared below), and hosts are leaves nothing routes
-                // through.
+                // now be farther from (or cut off from) the column's
+                // access switch, which can cascade; those columns are
+                // rebuilt. Dead nodes' distances are irrelevant (their
+                // cells are cleared below).
                 let alive = !mask.node_is_down(NodeId(u));
                 let uu = u as usize;
-                let empties_matter = self.kinds[uu] == NodeKind::Switch && alive;
-                let is_host = self.kinds[uu] == NodeKind::Host;
                 let base = self.port_off[uu] as usize;
-                for h_idx in 0..n_hosts {
-                    let li = h_idx * nn + uu;
+                for col in 0..n_cols {
+                    let li = col * nn + uu;
                     let l = tab.len[li] as usize;
                     if l == 0 {
                         continue;
                     }
-                    let cell = h_idx * pt + base;
+                    let cell = col * pt + base;
                     if let Some(pos) = tab.buf[cell..cell + l].iter().position(|&x| x == p) {
                         tab.buf.copy_within(cell + pos + 1..cell + l, cell + pos);
                         tab.len[li] = (l - 1) as u16;
-                        col_touched[h_idx] = true;
-                        if l == 1 {
-                            if empties_matter {
-                                col_dirty[h_idx] = true;
-                            } else if is_host && alive {
-                                // A host with no way out is cut off
-                                // (hosts have one link), and nothing
-                                // routes through it, so no switch
-                                // empties on its behalf — record the
-                                // unreachability directly or the
-                                // distance table would go stale for
-                                // restore checks.
-                                tab.set_dist(uu, h_idx, u32::MAX);
-                            }
+                        col_touched[col] = true;
+                        if l == 1 && alive {
+                            col_dirty[col] = true;
                         }
                     }
                 }
             }
-            // A dead node advertises nothing and is unreachable
-            // everywhere (full recomputation never visits it); clear its
-            // cells and distances wholesale.
+            // A dead node is unreachable everywhere (full recomputation
+            // never visits it); its cells were emptied above, since all
+            // of its ports are dead entries.
             for &w in &new_nodes {
-                for h_idx in 0..n_hosts {
-                    tab.clear_cell(w.0 as usize, h_idx);
-                    tab.set_dist(w.0 as usize, h_idx, u32::MAX);
+                for col in 0..n_cols {
+                    tab.set_dist(w.0 as usize, col, u32::MAX);
                 }
             }
             // Restore surgery, against the post-excision tables.
@@ -833,7 +863,7 @@ impl Topology {
                 &self.kinds,
                 &self.ports,
                 &self.port_off,
-                &self.hosts,
+                &self.tors,
                 &self.weights[layer],
                 mask,
                 &restored_undirected,
@@ -841,8 +871,8 @@ impl Topology {
                 tab,
                 &mut col_dirty,
             );
-            touched_total += (0..n_hosts)
-                .filter(|&h| col_touched[h] && !col_dirty[h])
+            touched_total += (0..n_cols)
+                .filter(|&c| col_touched[c] && !col_dirty[c])
                 .count();
             dirty_cols.push(col_dirty);
         }
@@ -854,37 +884,7 @@ impl Topology {
         // disjoint-output units the full recompute fans out, so they
         // share the scatter: one job list across all layers keeps the
         // workers busy even when each layer dirtied only a few columns.
-        let mut jobs: Vec<ColumnJob> = Vec::with_capacity(dirty_total);
-        for (layer, tab) in self.layers.iter_mut().enumerate() {
-            column_jobs(
-                tab,
-                &self.weights[layer],
-                layer == 0,
-                &self.hosts,
-                Some(&dirty_cols[layer]),
-                &mut jobs,
-            );
-        }
-        let (ports, port_off) = (&self.ports, &self.port_off);
-        crate::par::scatter(
-            crate::par::resolve(self.parallelism),
-            jobs,
-            ColumnScratch::default,
-            |scratch, job| {
-                compute_column(
-                    ports,
-                    port_off,
-                    job.weights,
-                    job.uniform,
-                    mask,
-                    job.host,
-                    job.buf,
-                    job.len,
-                    job.dist,
-                    scratch,
-                );
-            },
-        );
+        self.rebuild_columns(mask, Some(&dirty_cols));
         self.routes_mask = mask.clone();
         RouteRepair {
             full: false,
@@ -932,36 +932,101 @@ impl Topology {
     /// dense host index — the forwarding hot path resolves the index
     /// once per packet and reuses it across layer-liveness probes and
     /// the final port pick.
+    ///
+    /// Assembled from the destination's access switch (ToR): nothing
+    /// when the destination is cut off; at the ToR, the one port down
+    /// to the host; at any other switch, the cell of the ToR's column;
+    /// at a host, its single port whenever it reaches the destination.
     #[inline]
     pub fn try_next_ports_at(&self, layer: usize, node: NodeId, dst_index: usize) -> &[u16] {
-        self.layers[layer].advertised(&self.port_off, node.0 as usize, dst_index)
+        let a = &self.access[dst_index];
+        let cell = self.layers[layer].advertised(&self.port_off, node.0 as usize, a.col as usize);
+        if !cell.is_empty() && !a.cut {
+            return cell;
+        }
+        self.last_hop(layer, node, dst_index)
+    }
+
+    /// The lookups an access-switch column cell does not answer: the
+    /// destination is cut off, `node` is its ToR (the column's root,
+    /// whose own cell is empty), a host (host rows are empty), or a
+    /// switch the ToR is unreachable from.
+    fn last_hop(&self, layer: usize, node: NodeId, dst_index: usize) -> &[u16] {
+        let a = &self.access[dst_index];
+        if a.cut {
+            &[]
+        } else if node.0 == a.tor {
+            std::slice::from_ref(&a.port)
+        } else if self.kind(node) == NodeKind::Host
+            && node != self.hosts[dst_index]
+            && self.dist_to_host(layer, node.0 as usize, dst_index) != u32::MAX
+        {
+            &[0] // the host's single port
+        } else {
+            &[]
+        }
     }
 
     /// A layer's weighted distance from `node` to `dst` (`None` =
     /// unreachable under the mask the routes were computed with). On
     /// layer 0 the weighted distance is the plain hop count.
     pub fn layer_distance(&self, layer: usize, node: NodeId, dst: NodeId) -> Option<u32> {
-        let h = self.host_index(dst);
-        let d = self.layers[layer].dist_to(node.0 as usize, h);
+        let d = self.dist_to_host(layer, node.0 as usize, self.host_index(dst));
         (d != u32::MAX).then_some(d)
+    }
+
+    /// Weighted distance from node `u` to host `h_idx` (`u32::MAX` =
+    /// unreachable): the distance to the host's access switch, plus its
+    /// access link (weight 1 on every layer). A host's distance to
+    /// itself is 0 unless it is down; any other host first takes its own
+    /// access link.
+    fn dist_to_host(&self, layer: usize, u: usize, h_idx: usize) -> u32 {
+        let (a, h) = (&self.access[h_idx], self.hosts[h_idx]);
+        if u == h.0 as usize {
+            return if self.routes_mask.node_is_down(h) {
+                u32::MAX
+            } else {
+                0
+            };
+        }
+        // A host first takes its own access link up to its ToR.
+        let (from, up) = match self.host_index[u].map(|g| &self.access[g as usize]) {
+            _ if a.cut => return u32::MAX,
+            Some(g) if g.cut => return u32::MAX,
+            Some(g) => (g.tor as usize, 1),
+            None => (u, 0),
+        };
+        self.layers[layer]
+            .dist_to(from, a.col as usize)
+            .saturating_add(up + 1)
+    }
+
+    /// Bytes held by the route tables: every layer's route, length and
+    /// distance arenas plus the per-host access table.
+    pub fn route_table_bytes(&self) -> usize {
+        self.layers.iter().map(LayerTables::bytes).sum::<usize>()
+            + self.access.len() * std::mem::size_of::<Access>()
     }
 
     /// Hop count of the shortest path between two hosts.
     pub fn path_hops(&self, a: NodeId, b: NodeId) -> u32 {
-        if a == b {
-            return 0;
-        }
-        let mut hops = 0;
-        let mut at = a;
-        loop {
-            let p = self.next_ports(at, b)[0];
-            at = self.port(at, p).peer;
-            hops += 1;
-            if at == b {
-                return hops;
+        self.minimal_path(a, b).count() as u32
+    }
+
+    /// The ports along the first advertised (minimal) path from `from`
+    /// to `to`.
+    fn minimal_path(&self, from: NodeId, to: NodeId) -> impl Iterator<Item = &Port> + '_ {
+        let (mut at, mut hops) = (from, 0u32);
+        std::iter::from_fn(move || {
+            if at == to {
+                return None;
             }
-            assert!(hops < 64, "path longer than 64 hops; routing loop?");
-        }
+            assert!(hops < 256, "path longer than 256 hops; routing loop?");
+            let p = self.port(at, self.next_ports(at, to)[0]);
+            at = p.peer;
+            hops += 1;
+            Some(p)
+        })
     }
 
     /// Structural invariants of the CSR arenas, for tests and debugging:
@@ -991,31 +1056,31 @@ impl Topology {
                 assert_eq!(back.peer_port as usize, pi, "port symmetry (index)");
             }
         }
-        let n_hosts = self.hosts.len();
+        let n_cols = self.tors.len();
         for (layer, tab) in self.layers.iter().enumerate() {
             assert_eq!(tab.n_nodes, n, "layer {layer} node stride");
-            assert_eq!(tab.n_hosts, n_hosts, "layer {layer} host stride");
-            assert_eq!(tab.buf.len(), self.ports.len() * n_hosts, "arena size");
-            assert_eq!(tab.len.len(), n * n_hosts, "len table size");
-            assert_eq!(tab.dist.len(), n_hosts * n, "dist table size");
+            assert_eq!(tab.buf.len(), self.ports.len() * n_cols, "arena size");
+            assert_eq!(tab.len.len(), n * n_cols, "len table size");
+            assert_eq!(tab.dist.len(), n_cols * n, "dist table size");
             for u in 0..n {
                 let deg = (self.port_off[u + 1] - self.port_off[u]) as usize;
-                for h_idx in 0..n_hosts {
-                    let cell = tab.advertised(&self.port_off, u, h_idx);
+                for col in 0..n_cols {
+                    let cell = tab.advertised(&self.port_off, u, col);
                     assert!(
                         cell.len() <= deg,
-                        "layer {layer} cell ({u}, {h_idx}) overflows deg {deg}"
+                        "layer {layer} cell ({u}, {col}) overflows deg {deg}"
+                    );
+                    assert!(
+                        cell.is_empty() || self.kinds[u] == NodeKind::Switch,
+                        "layer {layer} host row {u} of column {col} is not empty"
                     );
                     for w in cell.windows(2) {
-                        assert!(
-                            w[0] < w[1],
-                            "layer {layer} cell ({u}, {h_idx}) not ascending"
-                        );
+                        assert!(w[0] < w[1], "layer {layer} cell ({u}, {col}) not ascending");
                     }
                     for &p in cell {
                         assert!(
                             (p as usize) < deg,
-                            "layer {layer} cell ({u}, {h_idx}) dangles port {p}"
+                            "layer {layer} cell ({u}, {col}) dangles port {p}"
                         );
                     }
                 }
@@ -1024,10 +1089,10 @@ impl Topology {
     }
 
     /// Build a k-ary fat-tree (k even): k pods of (k/2 edge + k/2
-    /// aggregation) switches, (k/2)² core switches, k²/4 hosts per pod
-    /// wait — k/2 hosts per edge switch, so k³/4 hosts total. All links
-    /// share `rate_bps`/`prop_ns` (the paper: 1 Gbps, 10 µs). Routed
-    /// under the default single-layer minimal policy.
+    /// aggregation) switches, (k/2)² core switches, k/2 hosts per edge
+    /// switch (k³/4 hosts). All links share `rate_bps`/`prop_ns` (the
+    /// paper: 1 Gbps, 10 µs). Routed under the default single-layer
+    /// minimal policy.
     pub fn fat_tree(k: usize, rate_bps: u64, prop_ns: u64) -> Topology {
         let mut t = Self::fat_tree_graph(k, rate_bps, prop_ns);
         t.compute_routes();
@@ -1070,9 +1135,8 @@ impl Topology {
         }
         // Core layer: group g serves aggregation index g of every pod.
         for g in 0..half {
-            for c in 0..half {
+            for _ in 0..half {
                 let core = t.add_node(NodeKind::Switch);
-                let _ = c;
                 for pod in 0..k {
                     t.connect(aggs[pod][g], core, rate_bps, prop_ns);
                 }
@@ -1120,17 +1184,9 @@ impl Topology {
     /// delay — correct on heterogeneous fabrics (e.g. oversubscribed
     /// leaf–spine uplinks), where no single link speed describes a path.
     pub fn path_delay_ns(&self, from: NodeId, to: NodeId, bytes: u32) -> u64 {
-        let mut total = 0u64;
-        let mut at = from;
-        let mut hops = 0u32;
-        while at != to {
-            let p = self.port(at, self.next_ports(at, to)[0]);
-            total += crate::time::serialization_ns(bytes, p.rate_bps) + p.prop_ns;
-            at = p.peer;
-            hops += 1;
-            assert!(hops < 256, "path longer than 256 hops; routing loop?");
-        }
-        total
+        self.minimal_path(from, to)
+            .map(|p| crate::time::serialization_ns(bytes, p.rate_bps) + p.prop_ns)
+            .sum()
     }
 
     /// Base round-trip time between two hosts for a given packet size:
@@ -1294,19 +1350,16 @@ struct ColumnScratch {
     heap: std::collections::BinaryHeap<std::cmp::Reverse<(u32, u32)>>,
 }
 
-/// One (layer, destination-column) unit of route-computation work: the
-/// column's disjoint slices of the column-major arenas plus the layer
-/// context the rebuild needs. Built by [`column_jobs`], consumed by a
-/// [`crate::par::scatter`] over [`compute_column`]. Columns never share
-/// arena bytes, so any number of jobs can run concurrently and the
-/// result is identical to the serial loop.
+/// One (layer, access-switch column) unit of route-computation work:
+/// the column's disjoint slices of the column-major arenas plus the
+/// layer context the rebuild needs (see [`Topology::rebuild_columns`]).
 struct ColumnJob<'a> {
     /// The layer's link-weight arena (shared, read-only).
     weights: &'a [u8],
     /// Layer 0: unit weights, BFS fast path.
     uniform: bool,
-    /// The destination host this column routes towards.
-    host: NodeId,
+    /// The access switch this column routes towards.
+    root: NodeId,
     /// The column's `P`-length route-cell slice.
     buf: &'a mut [u16],
     /// The column's `N`-length occupied-prefix slice.
@@ -1326,88 +1379,49 @@ fn column_chunks<T>(v: &mut [T], stride: usize, count: usize) -> Vec<&mut [T]> {
     v.chunks_mut(stride).collect()
 }
 
-/// Carve one layer's arenas into per-destination-column jobs and push
-/// them onto `out` — all columns, or only those flagged in `cols`. The
-/// pushed jobs hold disjoint `&mut` slices into `tab`, which is what
-/// makes the scatter safe without any interior synchronisation.
-fn column_jobs<'a>(
-    tab: &'a mut LayerTables,
-    weights: &'a [u8],
-    uniform: bool,
-    hosts: &[NodeId],
-    cols: Option<&[bool]>,
-    out: &mut Vec<ColumnJob<'a>>,
-) {
-    let (n, p, nh) = (tab.n_nodes, tab.n_ports, tab.n_hosts);
-    let bufs = column_chunks(&mut tab.buf, p, nh);
-    let lens = column_chunks(&mut tab.len, n, nh);
-    let dists = column_chunks(&mut tab.dist, n, nh);
-    for (h_idx, ((buf, len), dist)) in bufs.into_iter().zip(lens).zip(dists).enumerate() {
-        if cols.is_some_and(|c| !c[h_idx]) {
-            continue;
-        }
-        out.push(ColumnJob {
-            weights,
-            uniform,
-            host: hosts[h_idx],
-            buf,
-            len,
-            dist,
-        });
-    }
-}
-
-/// Rebuild one layer's routing column for one destination host: a
-/// weighted shortest-path search from the destination outward (weights
-/// in {1, 2} per the layer's preferred-link draw), recording the
-/// distances in `dist` (this column's N-length slice), then record
-/// every node's advertised ports into its arena cell — exactly the
-/// ports on weighted shortest paths, in ascending port order. With
-/// `uniform` (layer 0, whose weights are all 1 — i.e. the whole of
-/// every single-layer policy) the distance phase runs the original
-/// O(1)-per-node BFS instead of heap Dijkstra, keeping the pre-layering
-/// repair fast path at its old constant factor. The search traverses
+/// Rebuild one layer's routing column for one access switch: a
+/// weighted shortest-path search from the switch outward over the
+/// switch graph (hosts are never entered), recording the distances in
+/// `job.dist`, then every switch's advertised ports — exactly the ports
+/// on weighted shortest paths, in ascending port order. With `uniform`
+/// (layer 0, whose weights are all 1) the distance phase runs an
+/// O(1)-per-node BFS instead of heap Dijkstra. The search traverses
 /// links in reverse, but the mask and the weights are symmetric per
-/// link, so checking the (u, port) direction suffices. A free function
-/// (not a method), taking only this column's slices of the column-major
-/// arenas (`buf`: P-length, `len`/`dist`: N-length), so the repair path
-/// can borrow `Topology` fields disjointly and the parallel scatter can
-/// run many columns at once.
-#[allow(clippy::too_many_arguments)]
+/// link, so checking the (u, port) direction suffices.
 fn compute_column(
+    kinds: &[NodeKind],
     ports: &[Port],
     port_off: &[u32],
-    weights: &[u8],
-    uniform: bool,
     mask: &FaultMask,
-    host: NodeId,
-    buf: &mut [u16],
-    len: &mut [u16],
-    dist: &mut [u32],
+    job: ColumnJob,
     scratch: &mut ColumnScratch,
 ) {
     use std::cmp::Reverse;
+    let (weights, root, buf, len, dist) = (job.weights, job.root, job.buf, job.len, job.dist);
     let n = port_off.len() - 1;
     len.fill(0);
     dist.fill(u32::MAX);
-    if mask.node_is_down(host) {
+    if mask.node_is_down(root) {
         return;
     }
-    dist[host.0 as usize] = 0;
-    if uniform {
+    // Whether the hop (u, pi) to `peer` is part of the live switch graph.
+    let usable = |u: u32, pi: usize, peer: NodeId| {
+        kinds[peer.0 as usize] == NodeKind::Switch
+            && !mask.link_is_down(NodeId(u), pi as u16)
+            && !mask.node_is_down(peer)
+    };
+    dist[root.0 as usize] = 0;
+    if job.uniform {
         let frontier = &mut scratch.frontier;
         frontier.clear();
-        frontier.push_back(host.0);
+        frontier.push_back(root.0);
         while let Some(u) = frontier.pop_front() {
             let du = dist[u as usize];
             let base = port_off[u as usize] as usize;
             let end = port_off[u as usize + 1] as usize;
             for (pi, port) in ports[base..end].iter().enumerate() {
-                if mask.link_is_down(NodeId(u), pi as u16) || mask.node_is_down(port.peer) {
-                    continue;
-                }
                 let v = port.peer.0;
-                if dist[v as usize] == u32::MAX {
+                if dist[v as usize] == u32::MAX && usable(u, pi, port.peer) {
                     dist[v as usize] = du + 1;
                     frontier.push_back(v);
                 }
@@ -1416,7 +1430,7 @@ fn compute_column(
     } else {
         let heap = &mut scratch.heap;
         heap.clear();
-        heap.push(Reverse((0, host.0)));
+        heap.push(Reverse((0, root.0)));
         while let Some(Reverse((d, u))) = heap.pop() {
             if d > dist[u as usize] {
                 continue; // stale heap entry
@@ -1424,20 +1438,19 @@ fn compute_column(
             let base = port_off[u as usize] as usize;
             let end = port_off[u as usize + 1] as usize;
             for (pi, port) in ports[base..end].iter().enumerate() {
-                if mask.link_is_down(NodeId(u), pi as u16) || mask.node_is_down(port.peer) {
-                    continue;
-                }
                 let nd = d + weights[base + pi] as u32;
                 let v = port.peer.0;
-                if nd < dist[v as usize] {
+                if nd < dist[v as usize] && usable(u, pi, port.peer) {
                     dist[v as usize] = nd;
                     heap.push(Reverse((nd, v)));
                 }
             }
         }
     }
+    // Only searched (hence live switch) nodes have a finite distance,
+    // and only searched peers can be next hops.
     for u in 0..n {
-        if dist[u] == u32::MAX || u as u32 == host.0 || mask.node_is_down(NodeId(u as u32)) {
+        if dist[u] == u32::MAX || u as u32 == root.0 {
             continue;
         }
         let du = dist[u];
@@ -1446,11 +1459,11 @@ fn compute_column(
         let mut l = 0usize;
         for pi in 0..deg {
             let p = &ports[base + pi];
-            if mask.link_is_down(NodeId(u as u32), pi as u16) || mask.node_is_down(p.peer) {
-                continue;
-            }
             let dp = dist[p.peer.0 as usize];
-            if dp != u32::MAX && dp + weights[base + pi] as u32 == du {
+            if dp != u32::MAX
+                && dp + weights[base + pi] as u32 == du
+                && !mask.link_is_down(NodeId(u as u32), pi as u16)
+            {
                 buf[base + l] = pi as u16;
                 l += 1;
             }
@@ -1460,23 +1473,24 @@ fn compute_column(
 }
 
 /// Patch one layer's route arena for restored elements, column by
-/// column. For every destination whose distances cannot shrink,
-/// restored ports are re-advertised exactly where they are equal-cost
-/// next hops under the layer's weights — in-place cell shifts, no
-/// allocation; destinations where the restored element lies on a
-/// strictly shorter weighted path (or re-attaches a cut-off region) are
-/// flagged in `col_dirty` for a per-destination rebuild. Elements are
-/// processed sequentially, so a restored node's freshly computed
-/// distance feeds the checks of later elements in the same delta.
-// The column loops index several parallel per-destination tables
-// (`col_dirty`, the dist/len arenas, `hosts`); iterator chains would
+/// column. For every column whose distances cannot shrink, restored
+/// ports are re-advertised exactly where they are equal-cost next hops
+/// under the layer's weights — in-place cell shifts, no allocation;
+/// columns where the restored element lies on a strictly shorter
+/// weighted path (or re-attaches a cut-off region) are flagged in
+/// `col_dirty` for a per-column rebuild. Elements are processed
+/// sequentially, so a restored node's freshly computed distance feeds
+/// the checks of later elements in the same delta. Restored hosts and
+/// host links only move cut-off bits and are skipped.
+// The column loops index several parallel per-column tables
+// (`col_dirty`, the dist/len arenas, `tors`); iterator chains would
 // obscure that they advance in lockstep.
 #[allow(clippy::needless_range_loop, clippy::too_many_arguments)]
 fn restore_surgery_layer(
     kinds: &[NodeKind],
     ports: &[Port],
     off: &[u32],
-    hosts: &[NodeId],
+    tors: &[NodeId],
     weights: &[u8],
     mask: &FaultMask,
     restored_links: &[(u32, u16)],
@@ -1484,36 +1498,34 @@ fn restore_surgery_layer(
     tab: &mut LayerTables,
     col_dirty: &mut [bool],
 ) {
-    // A single-port host is a leaf nothing can route through, so its
-    // reachability changes never cascade: restore surgery patches such
-    // nodes in place instead of rebuilding whole destination columns.
-    let leaf = |n: NodeId| {
-        let i = n.0 as usize;
-        kinds[i] == NodeKind::Host && off[i + 1] - off[i] == 1
-    };
+    let is_switch = |n: NodeId| kinds[n.0 as usize] == NodeKind::Switch;
     for &w in restored_nodes {
+        if !is_switch(w) {
+            continue;
+        }
         let wu = w.0 as usize;
         let base = off[wu] as usize;
         let n_ports = off[wu + 1] as usize - base;
-        for h_idx in 0..hosts.len() {
-            if col_dirty[h_idx] {
+        // The switch-graph hops out of w: link up, peer an up switch.
+        let usable = |pi: usize| {
+            let peer = ports[base + pi].peer;
+            is_switch(peer) && !mask.link_is_down(w, pi as u16) && !mask.node_is_down(peer)
+        };
+        for col in 0..tors.len() {
+            if col_dirty[col] {
                 continue;
             }
-            // The restored node is this column's destination host: the
+            // The restored node is this column's access switch: the
             // whole column was cleared when it died.
-            if hosts[h_idx] == w {
-                col_dirty[h_idx] = true;
+            if tors[col] == w {
+                col_dirty[col] = true;
                 continue;
             }
             // New distance of w: one link past its closest usable
             // neighbour (usable = link up, peer up, peer reachable).
             let mut dw = u32::MAX;
-            for pi in 0..n_ports {
-                let peer = ports[base + pi].peer;
-                if mask.link_is_down(w, pi as u16) || mask.node_is_down(peer) {
-                    continue;
-                }
-                let dp = tab.dist_to(peer.0 as usize, h_idx);
+            for pi in (0..n_ports).filter(|&pi| usable(pi)) {
+                let dp = tab.dist_to(ports[base + pi].peer.0 as usize, col);
                 if dp != u32::MAX {
                     dw = dw.min(dp + weights[base + pi] as u32);
                 }
@@ -1523,79 +1535,63 @@ fn restore_surgery_layer(
             }
             // Any usable neighbour strictly farther than dw + w(link)
             // (including unreachable ones) gets closer through w — the
-            // shrink can cascade, so rebuild this destination.
-            // Exception: a leaf host (nothing routes through it) can
-            // only have its own cell change, which is pure surgery.
+            // shrink can cascade, so rebuild this column.
             let shrinks = (0..n_ports).any(|pi| {
-                let peer = ports[base + pi].peer;
-                !mask.link_is_down(w, pi as u16)
-                    && !mask.node_is_down(peer)
-                    && tab.dist_to(peer.0 as usize, h_idx)
+                usable(pi)
+                    && tab.dist_to(ports[base + pi].peer.0 as usize, col)
                         > dw.saturating_add(weights[base + pi] as u32)
-                    && !leaf(peer)
             });
             if shrinks {
-                col_dirty[h_idx] = true;
+                col_dirty[col] = true;
                 continue;
             }
             // Pure surgery: record w's own advertised ports straight
-            // into its (empty — cleared when it died) cell, make w an
-            // additional equal-cost hop at neighbours one link further
-            // out, and re-attach leaf hosts w was the way out for.
-            tab.set_dist(wu, h_idx, dw);
-            let (cell, _) = tab.cell(off, wu, h_idx);
+            // into its (empty — cleared when it died) cell and make w
+            // an additional equal-cost hop at neighbours one link
+            // further out.
+            tab.set_dist(wu, col, dw);
+            let (cell, _) = tab.cell(off, wu, col);
             let mut l = 0usize;
-            for pi in 0..n_ports {
+            for pi in (0..n_ports).filter(|&pi| usable(pi)) {
                 let port = ports[base + pi];
-                if mask.link_is_down(w, pi as u16) || mask.node_is_down(port.peer) {
-                    continue;
-                }
                 let wl = weights[base + pi] as u32;
-                let dp = tab.dist_to(port.peer.0 as usize, h_idx);
+                let dp = tab.dist_to(port.peer.0 as usize, col);
                 if dp != u32::MAX && dp + wl == dw {
                     tab.buf[cell + l] = pi as u16;
                     l += 1;
                 } else if dp == dw + wl {
-                    tab.insert_port(off, port.peer.0 as usize, h_idx, port.peer_port);
-                } else if dp > dw + wl && leaf(port.peer) {
-                    tab.set_dist(port.peer.0 as usize, h_idx, dw + wl);
-                    tab.set_single(off, port.peer.0 as usize, h_idx, port.peer_port);
+                    tab.insert_port(off, port.peer.0 as usize, col, port.peer_port);
                 }
             }
-            tab.len[h_idx * tab.n_nodes + wu] = l as u16;
+            tab.len[col * tab.n_nodes + wu] = l as u16;
         }
     }
     for &(u, p) in restored_links {
         let port = ports[off[u as usize] as usize + p as usize];
         let (v, q) = (port.peer, port.peer_port);
-        // The link only carries traffic if both endpoints are alive.
-        if mask.node_is_down(NodeId(u)) || mask.node_is_down(v) {
+        // The link only carries traffic if both endpoints are live
+        // switches.
+        if !is_switch(NodeId(u))
+            || !is_switch(v)
+            || mask.node_is_down(NodeId(u))
+            || mask.node_is_down(v)
+        {
             continue;
         }
         let wl = weights[off[u as usize] as usize + p as usize] as u32;
-        for h_idx in 0..hosts.len() {
-            if col_dirty[h_idx] {
+        for col in 0..tors.len() {
+            if col_dirty[col] {
                 continue;
             }
-            let du = tab.dist_to(u as usize, h_idx);
-            let dv = tab.dist_to(v.0 as usize, h_idx);
+            let du = tab.dist_to(u as usize, col);
+            let dv = tab.dist_to(v.0 as usize, col);
             if du == u32::MAX && dv == u32::MAX {
                 continue; // both sides cut off; the link helps nobody
             }
             // One side unreachable or farther than the link's weight:
-            // the restored link shortens (or creates) paths — rebuild,
-            // unless the far side is a leaf host, whose revival can't
-            // cascade (nothing routes through it) and is patched in
-            // place.
-            let (near, far) = (du.min(dv), du.max(dv));
-            if far > near.saturating_add(wl) {
-                let (far_node, far_port) = if du > dv { (NodeId(u), p) } else { (v, q) };
-                if leaf(far_node) {
-                    tab.set_dist(far_node.0 as usize, h_idx, near + wl);
-                    tab.set_single(off, far_node.0 as usize, h_idx, far_port);
-                } else {
-                    col_dirty[h_idx] = true;
-                }
+            // the restored link shortens (or creates) paths — rebuild.
+            if du.max(dv) > du.min(dv).saturating_add(wl) {
+                col_dirty[col] = true;
                 continue;
             }
             // Equal-cost surgery: the downhill direction (if any)
@@ -1603,12 +1599,10 @@ fn restore_surgery_layer(
             // gap is smaller than the link's weight — e.g. equal
             // distances, or a gap of 1 on a weight-2 link — no shortest
             // path uses the link and nothing changes.)
-            if du != u32::MAX && dv != u32::MAX {
-                if du == dv + wl {
-                    tab.insert_port(off, u as usize, h_idx, p);
-                } else if dv == du + wl {
-                    tab.insert_port(off, v.0 as usize, h_idx, q);
-                }
+            if du == dv + wl {
+                tab.insert_port(off, u as usize, col, p);
+            } else if dv == du + wl {
+                tab.insert_port(off, v.0 as usize, col, q);
             }
         }
     }
@@ -1639,30 +1633,34 @@ fn random_regular_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
             }
             edges.push((a.min(b), a.max(b)));
         }
-        // Connectivity check over the switch graph.
-        let mut adj = vec![Vec::new(); n];
-        for &(a, b) in &edges {
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-        let mut visited = vec![false; n];
-        let mut stack = vec![0usize];
-        visited[0] = true;
-        let mut count = 1;
-        while let Some(u) = stack.pop() {
-            for &v in &adj[u] {
-                if !visited[v] {
-                    visited[v] = true;
-                    count += 1;
-                    stack.push(v);
-                }
-            }
-        }
-        if count == n {
+        if connected(n, &edges) {
             return edges;
         }
     }
     panic!("could not build a connected {d}-regular graph on {n} switches");
+}
+
+/// Whether the undirected graph on `n` nodes is connected.
+fn connected(n: usize, edges: &[(usize, usize)]) -> bool {
+    let mut adj = vec![Vec::new(); n];
+    for &(a, b) in edges {
+        adj[a].push(b);
+        adj[b].push(a);
+    }
+    let mut visited = vec![false; n];
+    let mut stack = vec![0usize];
+    visited[0] = true;
+    let mut count = 1;
+    while let Some(u) = stack.pop() {
+        for &v in &adj[u] {
+            if !visited[v] {
+                visited[v] = true;
+                count += 1;
+                stack.push(v);
+            }
+        }
+    }
+    count == n
 }
 
 /// Connected random regular graph for degrees where stub matching is
@@ -1698,7 +1696,7 @@ fn swapped_regular_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
     debug_assert_eq!(present.len(), edges.len(), "circulant base must be simple");
     let mut rng = Pcg32::new(seed ^ 0x0005_EED0_F1A7_u64);
     let target = 20 * edges.len();
-    for round in 0..100 {
+    for _ in 0..100 {
         let mut done = 0;
         let mut tries = 0;
         while done < target && tries < 20 * target {
@@ -1725,30 +1723,11 @@ fn swapped_regular_edges(n: usize, d: usize, seed: u64) -> Vec<(usize, usize)> {
             edges[j] = nb;
             done += 1;
         }
-        // Connectivity check; a disconnected result gets another round
-        // of mixing (swaps across components reconnect them).
-        let mut adj = vec![Vec::new(); n];
-        for &(a, b) in &edges {
-            adj[a].push(b);
-            adj[b].push(a);
-        }
-        let mut visited = vec![false; n];
-        let mut stack = vec![0usize];
-        visited[0] = true;
-        let mut count = 1;
-        while let Some(u) = stack.pop() {
-            for &v in &adj[u] {
-                if !visited[v] {
-                    visited[v] = true;
-                    count += 1;
-                    stack.push(v);
-                }
-            }
-        }
-        if count == n {
+        // A disconnected result gets another round of mixing (swaps
+        // across components reconnect them).
+        if connected(n, &edges) {
             return edges;
         }
-        let _ = round;
     }
     panic!("could not mix a connected {d}-regular graph on {n} switches");
 }
@@ -2035,6 +2014,13 @@ mod tests {
             .collect()
     }
 
+    /// The tables of a from-scratch recompute of `pristine` under `mask`.
+    fn recomputed(pristine: &Topology, mask: &FaultMask) -> Vec<Vec<Vec<Vec<u16>>>> {
+        let mut full = pristine.clone();
+        full.compute_routes_masked(mask);
+        route_tables(&full)
+    }
+
     /// Every layer's weight table, via the public accessor — the
     /// representation the cache-reuse test snapshots.
     fn weight_snapshot(t: &Topology) -> Vec<Vec<u8>> {
@@ -2142,26 +2128,25 @@ mod tests {
     fn repair_single_link_matches_full_and_rebuilds_few() {
         // Fail one agg–core link on a k=4 fat-tree: only the core's
         // single path into the agg's pod empties, so just that pod's
-        // hosts (4 of 16) need a BFS rebuild. The true core layer is the
-        // last-added (k/2)² nodes (`core_switches()` includes aggs).
+        // edge-switch columns (2 of 8) need a BFS rebuild. The true core
+        // layer is the last-added (k/2)² nodes (`core_switches()`
+        // includes aggs).
         let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
         let core = NodeId(pristine.node_count() as u32 - 1);
         let mut mask = FaultMask::new();
         mask.fail_link(&pristine, core, 0);
 
-        let mut full = pristine.clone();
-        full.compute_routes_masked(&mask);
         let mut repaired = pristine.clone();
         let outcome = repaired.repair_routes(&mask);
         assert!(!outcome.full, "single link failure must repair in place");
         assert!(
-            outcome.dests_rebuilt <= 4,
-            "at most one pod's hosts rebuilt (got {})",
+            outcome.dests_rebuilt <= 2,
+            "at most one pod's edge switches rebuilt (got {})",
             outcome.dests_rebuilt
         );
         assert!(outcome.dests_touched > 0, "surgery must remove dead ports");
         assert_eq!(
-            route_tables(&full),
+            recomputed(&pristine, &mask),
             route_tables(&repaired),
             "repair must be exact"
         );
@@ -2178,13 +2163,11 @@ mod tests {
         let core = NodeId(pristine.node_count() as u32 - 1);
         let mut mask = FaultMask::new();
         mask.fail_node(core);
-        let mut full = pristine.clone();
-        full.compute_routes_masked(&mask);
         let mut repaired = pristine.clone();
         let outcome = repaired.repair_routes(&mask);
         assert!(!outcome.full);
         assert_eq!(outcome.dests_rebuilt, 0, "no distance changed");
-        assert_eq!(route_tables(&full), route_tables(&repaired));
+        assert_eq!(recomputed(&pristine, &mask), route_tables(&repaired));
     }
 
     #[test]
@@ -2199,10 +2182,8 @@ mod tests {
         for (step, &victim) in cores.iter().take(2).enumerate() {
             mask.fail_node(victim);
             repaired.repair_routes(&mask);
-            let mut full = pristine.clone();
-            full.compute_routes_masked(&mask);
             assert_eq!(
-                route_tables(&full),
+                recomputed(&pristine, &mask),
                 route_tables(&repaired),
                 "divergence after step {step}"
             );
@@ -2229,7 +2210,8 @@ mod tests {
         assert_eq!(route_tables(&t), route_tables(&healthy));
         // An aggregation switch's death cuts its group's cores off from
         // the pod; the restoration must rebuild exactly that pod's
-        // columns (where distances genuinely changed) and still match.
+        // access-switch columns (where distances genuinely changed) and
+        // still match.
         let mut t2 = Topology::fat_tree(4, 1_000_000_000, 10_000);
         let agg = t2.core_switches()[0]; // host-free ⇒ agg or core; [0] is an agg
         let mut m2 = FaultMask::new();
@@ -2238,12 +2220,12 @@ mod tests {
         m2.restore_node(agg);
         let o2 = t2.repair_routes(&m2);
         assert!(!o2.full, "agg restoration must repair incrementally");
-        assert_eq!(o2.dests_rebuilt, 4, "one pod's host columns rebuilt");
+        assert_eq!(o2.dests_rebuilt, 2, "one pod's edge-switch columns rebuilt");
         assert_eq!(route_tables(&t2), route_tables(&healthy));
         // Layered policies repair incrementally too — the old
         // non-minimal full-recompute fallback is gone. A host-link flap
-        // on a 3-layer Jellyfish dirties exactly one column per layer
-        // (hosts are leaves), so both deltas must be surgical and land
+        // on a 3-layer Jellyfish dirties no column at all (it only cuts
+        // the host off), so both deltas must be surgical and land
         // exactly on the from-scratch tables.
         let mut lt = Topology::jellyfish(12, 3, 2, 1_000_000_000, 10_000, 3);
         lt.set_policy(RoutingPolicy::layered(3, 11));
@@ -2257,30 +2239,20 @@ mod tests {
             !fail_outcome.full,
             "layered host-link failure must repair incrementally"
         );
-        let mut layered_full = layered_pristine.clone();
-        layered_full.compute_routes_masked(&m3);
-        assert_eq!(route_tables(&lt), route_tables(&layered_full));
+        assert_eq!(route_tables(&lt), recomputed(&layered_pristine, &m3));
         m3.restore_link(&lt, victim_host, 0);
         let o3 = lt.repair_routes(&m3);
         assert!(!o3.full, "layered restoration must repair incrementally");
         assert_eq!(o3.restored, 1);
-        assert_eq!(
-            o3.dests_rebuilt,
-            lt.layer_count(),
-            "only the cut host's column per layer"
-        );
+        assert_eq!(o3.dests_rebuilt, 0, "a host link touches no column");
         assert_eq!(route_tables(&lt), route_tables(&layered_pristine));
-        // An inter-switch link's blast radius on a weighted layer can
-        // legitimately exceed the mass-delta threshold (weighted columns
-        // often advertise a single port) — but fallback or surgery, the
-        // repaired tables must equal a from-scratch recompute.
+        // An inter-switch link on a weighted layer: the repaired tables
+        // must equal a from-scratch recompute.
         let mut sw = layered_pristine.clone();
         let mut m4 = FaultMask::new();
         m4.fail_link(&sw, NodeId(0), 0);
         sw.repair_routes(&m4);
-        let mut sw_full = layered_pristine.clone();
-        sw_full.compute_routes_masked(&m4);
-        assert_eq!(route_tables(&sw), route_tables(&sw_full));
+        assert_eq!(route_tables(&sw), recomputed(&layered_pristine, &m4));
         m4.restore_link(&sw, NodeId(0), 0);
         sw.repair_routes(&m4);
         assert_eq!(route_tables(&sw), route_tables(&layered_pristine));
@@ -2288,9 +2260,9 @@ mod tests {
 
     #[test]
     fn restore_repair_link_and_host_cases() {
-        // A host link flaps down and up: the restoration rebuilds only
-        // the cut host's own column (its distance was genuinely cut to
-        // MAX) and re-advertises the link everywhere else in place.
+        // A host link flaps down and up: the host is cut off and
+        // re-attached through its cut-off bit alone — no column is
+        // rebuilt, and the tables land back on the pristine ones.
         let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
         let victim = pristine.hosts()[0];
         let mut t = pristine.clone();
@@ -2301,10 +2273,7 @@ mod tests {
         let outcome = t.repair_routes(&mask);
         assert!(!outcome.full, "link restoration must repair in place");
         assert_eq!(outcome.restored, 1);
-        assert_eq!(
-            outcome.dests_rebuilt, 1,
-            "only the cut host's column is rebuilt"
-        );
+        assert_eq!(outcome.dests_rebuilt, 0, "no column is rebuilt");
         assert_eq!(route_tables(&t), route_tables(&pristine));
 
         // A whole host (node) dies and revives: same exactness.
@@ -2320,10 +2289,9 @@ mod tests {
 
     #[test]
     fn restore_repair_rebuilds_on_distance_shrink() {
-        // A triangle a—b—c with hosts at a and c plus ballast hosts at b
-        // (so two dirty columns stay under the mass-delta threshold).
-        // Failing the a—c shortcut forces the long way; restoring it
-        // must shrink distances back, which only a BFS rebuild can do.
+        // A triangle a—b—c with hosts at a and c. Failing the a—c
+        // shortcut forces the long way; restoring it must shrink
+        // distances back, which only a BFS rebuild can do.
         let mut t = Topology::new();
         let h0 = t.add_node(NodeKind::Host);
         let a = t.add_node(NodeKind::Switch);
@@ -2335,10 +2303,6 @@ mod tests {
         t.connect(b, c, 1_000_000_000, 10_000);
         t.connect(a, c, 1_000_000_000, 10_000); // the shortcut
         t.connect(c, h1, 1_000_000_000, 10_000);
-        for _ in 0..6 {
-            let hb = t.add_node(NodeKind::Host);
-            t.connect(hb, b, 1_000_000_000, 10_000);
-        }
         t.compute_routes();
         let pristine = t.clone();
         assert_eq!(t.path_hops(h0, h1), 3, "shortcut path");
@@ -2392,19 +2356,18 @@ mod tests {
 
     #[test]
     fn repair_host_link_rebuilds_only_that_host() {
-        // A dying host uplink cuts exactly one destination; everyone
-        // else's trees route around nothing (hosts are leaves).
+        // A dying host uplink cuts exactly one destination; its access
+        // switch's column still serves the rest of the rack, so nothing
+        // is rebuilt.
         let pristine = Topology::fat_tree(4, 1_000_000_000, 10_000);
         let victim = pristine.hosts()[0];
         let mut mask = FaultMask::new();
         mask.fail_link(&pristine, victim, 0);
-        let mut full = pristine.clone();
-        full.compute_routes_masked(&mask);
         let mut repaired = pristine.clone();
         let outcome = repaired.repair_routes(&mask);
         assert!(!outcome.full);
-        assert_eq!(outcome.dests_rebuilt, 1, "only the cut host's tree");
-        assert_eq!(route_tables(&full), route_tables(&repaired));
+        assert_eq!(outcome.dests_rebuilt, 0, "no column is rebuilt");
+        assert_eq!(recomputed(&pristine, &mask), route_tables(&repaired));
         assert!(repaired
             .try_next_ports(pristine.hosts()[1], victim)
             .is_empty());
@@ -2422,6 +2385,39 @@ mod tests {
         assert!(t.try_next_ports(hosts[2], hosts[0]).is_empty());
         // ...but the other leaf's hosts still reach each other.
         assert!(!t.try_next_ports(hosts[2], hosts[3]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly one port, to a switch")]
+    fn dual_homed_host_panics() {
+        let mut t = Topology::new();
+        let h = t.add_node(NodeKind::Host);
+        for _ in 0..2 {
+            let s = t.add_node(NodeKind::Switch);
+            t.connect(h, s, 1_000_000_000, 10_000);
+        }
+        t.compute_routes();
+    }
+
+    #[test]
+    fn route_tables_keyed_by_access_switch_fit_the_memory_target() {
+        // The 5 000-host Jellyfish has 250 access switches; one column
+        // per host would hold hosts x (2 B per port + 6 B per node).
+        let mut t = Topology::jellyfish_graph(250, 12, 20, 1_000_000_000, 10_000, 1);
+        t.compute_routes();
+        let per_host_layout = t.hosts().len() * (2 * (250 * 32 + 5_000) + 6 * t.node_count());
+        assert!(
+            15 * t.route_table_bytes() <= per_host_layout,
+            "1 layer: {} B is more than 1/15 of {per_host_layout} B",
+            t.route_table_bytes()
+        );
+        t.set_policy(RoutingPolicy::layered(4, 1));
+        t.compute_routes();
+        assert!(
+            t.route_table_bytes() < 100_000_000,
+            "4 layers: {} B is over 100 MB",
+            t.route_table_bytes()
+        );
     }
 
     #[test]

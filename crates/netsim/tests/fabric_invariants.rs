@@ -62,6 +62,18 @@ fn random_walk(
     Ok(steps)
 }
 
+/// Node-failure candidates: transit switches, access switches (a dead
+/// one empties its whole route column and cuts off its rack) and hosts.
+fn node_victims(t: &Topology) -> Vec<NodeId> {
+    let mut nodes = t.core_switches();
+    let mut access: Vec<NodeId> = t.hosts().iter().map(|&h| t.edge_switch(h)).collect();
+    access.sort_unstable();
+    access.dedup();
+    nodes.extend(access);
+    nodes.extend(t.hosts().iter().copied());
+    nodes
+}
+
 /// Reference nested-`Vec` rebuild of one layer's route tables and
 /// distances: a textbook per-destination Dijkstra over the public
 /// port/weight accessors, fully independent of the CSR arenas it
@@ -150,8 +162,7 @@ proptest! {
                 }
             }
         }
-        let mut nodes: Vec<NodeId> = t.core_switches();
-        nodes.extend(t.hosts().iter().copied());
+        let nodes = node_victims(&t);
         let hosts = t.hosts().to_vec();
         let mut mask = FaultMask::new();
         let mut failed_links: Vec<(NodeId, u16)> = Vec::new();
@@ -461,8 +472,7 @@ proptest! {
                 }
             }
         }
-        let mut nodes: Vec<NodeId> = pristine.core_switches();
-        nodes.extend(pristine.hosts().iter().copied());
+        let nodes = node_victims(&pristine);
         let mut mask = FaultMask::new();
         let mut failed_links: Vec<(NodeId, u16)> = Vec::new();
         let mut failed_nodes: Vec<NodeId> = Vec::new();
@@ -547,8 +557,7 @@ proptest! {
                 }
             }
         }
-        let mut nodes: Vec<NodeId> = serial.core_switches();
-        nodes.extend(serial.hosts().iter().copied());
+        let nodes = node_victims(&serial);
         let mut rng = netsim::Pcg32::new(seed);
         let mut mask = FaultMask::new();
         let mut failed_links: Vec<(NodeId, u16)> = Vec::new();

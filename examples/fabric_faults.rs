@@ -352,7 +352,7 @@ fn main() {
     // link failure on this fabric.
     let (full_ms, repair_ms, rebuilt) = time_reroute(&fabric, flags.parallelism);
     println!(
-        "incremental route repair: {repair_ms:.3} ms ({rebuilt} destination trees rebuilt) \
+        "incremental route repair: {repair_ms:.3} ms ({rebuilt} access-switch columns rebuilt) \
          vs {full_ms:.3} ms full recompute ({:.1}x)",
         full_ms / repair_ms,
     );

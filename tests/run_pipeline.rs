@@ -8,7 +8,11 @@
 //!   from the per-scenario runners the pipeline replaced, so any drift
 //!   in set-up order, seeding or collection shows here. The TCP hotspot
 //!   run had no runner before the pipeline; its hash was pinned when the
-//!   generic entry point introduced it.
+//!   generic entry point introduced it. The fault and churn hashes were
+//!   re-pinned when route columns became keyed by access switch: only
+//!   `FabricStats::route_dests_rebuilt` moved (it now counts
+//!   access-switch columns); with that field zeroed, all twelve hashes
+//!   are unchanged.
 //! * **Options honoured.** `shards = 2` must run the sharded loop
 //!   (`shard_epochs > 0`) and reproduce the serial run; enabled
 //!   telemetry must return a recording and change nothing else.
@@ -110,8 +114,8 @@ const RQ_PINS: [(&str, u64); 6] = [
     ("storage_write", 0xdf6c_0a1b_4251_c6df),
     ("storage_read", 0x2461_2864_f84c_f33b),
     ("incast", 0xb47c_7f95_d4fd_4516),
-    ("fault", 0x6a2f_0ac2_07f9_db6e),
-    ("churn", 0xac4e_5481_06ad_7ada),
+    ("fault", 0xe434_2479_bca6_f36c),
+    ("churn", 0xb123_5f39_7c00_b0d7),
     ("hotspot", 0x9309_6d96_bd8f_eaab),
 ];
 
@@ -119,8 +123,8 @@ const TCP_PINS: [(&str, u64); 6] = [
     ("storage_write", 0x1403_61c2_e99d_986b),
     ("storage_read", 0xb6bb_573e_e7ac_caeb),
     ("incast", 0x74ce_7e0c_dfac_e096),
-    ("fault", 0xde9b_7d7e_2df7_ebda),
-    ("churn", 0xf7af_d3f4_c37e_c2a9),
+    ("fault", 0x488e_1556_90ce_672c),
+    ("churn", 0x5398_b9ff_6cde_9134),
     ("hotspot", 0xf1d8_1784_30c1_3422),
 ];
 
