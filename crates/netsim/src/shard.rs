@@ -32,7 +32,7 @@ use std::sync::{Barrier, Mutex, RwLock};
 
 use crate::packet::SimPayload;
 use crate::sim::{
-    apply_fault_shared, dispatch_node, reroute_shared, target_of, Agent, Control, Env, Ev,
+    apply_fault_shared, dispatch_node, reroute_shared, target_of, Agent, Control, Env, Ev, EvKey,
     FabricStats, GlobalEvent, Lane, LocalOp, NodeEvent, Simulator, GLOBAL_RANK,
 };
 use crate::telemetry::{FabricEvent, PortProbe, TelemetrySink};
@@ -275,10 +275,11 @@ struct SharedCtx<'a, P, T> {
     control: &'a mut Control,
     telemetry: &'a mut T,
     gevents: &'a mut BinaryHeap<Reverse<Ev<GlobalEvent>>>,
-    /// Per-node ops of the last applied global event, for workers to
-    /// apply to their own cells (in list order) after the barrier.
+    /// Per-node ops of the last applied global event (keyed
+    /// `ops_key`), for workers to apply to their own cells (in list
+    /// order) after the barrier.
     ops: Vec<LocalOp>,
-    ops_at: SimTime,
+    ops_key: EvKey,
     g_processed: u64,
     g_last_at: u64,
     _payload: std::marker::PhantomData<fn() -> P>,
@@ -332,7 +333,7 @@ where
         telemetry: &mut sim.telemetry,
         gevents: &mut sim.gevents,
         ops: Vec::new(),
-        ops_at: entry_now,
+        ops_key: (entry_now, GLOBAL_RANK, 0),
         g_processed: 0,
         g_last_at: entry_now.as_nanos(),
         _payload: std::marker::PhantomData,
@@ -486,7 +487,7 @@ where
                             sh.g_last_at = tg;
                             sh.g_processed += 1;
                             sh.ops.clear();
-                            sh.ops_at = gev.at;
+                            sh.ops_key = gev.key();
                             match gev.kind {
                                 GlobalEvent::Fault(action) => {
                                     let mut reroute_at = None;
@@ -526,7 +527,6 @@ where
                         barrier.wait();
                         {
                             let g = shared.read().expect("shared read");
-                            let at = g.ops_at;
                             for op in &g.ops {
                                 match *op {
                                     LocalOp::Flush(node, p) => {
@@ -542,18 +542,7 @@ where
                                             continue;
                                         }
                                         let slot = cell_of[node.0 as usize] as usize - slot_base;
-                                        let cell = &mut cells_w[slot];
-                                        if !cell.busy[p as usize]
-                                            && !cell.queues[p as usize].is_empty()
-                                        {
-                                            let seq = cell.next_seq();
-                                            heap.push(Reverse(Ev {
-                                                at,
-                                                rank: node.0 + 1,
-                                                seq,
-                                                kind: NodeEvent::Dequeue(node, p),
-                                            }));
-                                        }
+                                        cells_w[slot].kick(p, g.ops_key, &mut lane.out);
                                     }
                                     LocalOp::ClearMemos => {
                                         for cell in cells_w.iter_mut() {
@@ -562,6 +551,8 @@ where
                                     }
                                 }
                             }
+                            // Kicks only emit this shard's own events.
+                            heap.extend(lane.out.drain(..).map(Reverse));
                         }
                         continue;
                     }
@@ -596,15 +587,7 @@ where
                             last_at = ev.at.as_nanos();
                             let target = target_of(&ev.kind, env.topo);
                             let slot = cell_of[target.0 as usize] as usize - slot_base;
-                            dispatch_node(
-                                &env,
-                                &mut cells_w[slot],
-                                &mut lane,
-                                ev.at,
-                                ev.rank,
-                                ev.seq,
-                                ev.kind,
-                            );
+                            dispatch_node(&env, &mut cells_w[slot], &mut lane, ev.key(), ev.kind);
                             while let Some(oe) = lane.out.pop() {
                                 let ot = target_of(&oe.kind, env.topo);
                                 let os = plan.shard_of[ot.0 as usize] as usize;
@@ -670,5 +653,6 @@ where
     }
     sim.control.stats.events += g_processed;
     sim.now = SimTime::from_nanos(max_at.max(g_last_at));
+    sim.retire_completions(deadline);
     node_processed + g_processed
 }

@@ -260,6 +260,9 @@ pub(crate) enum NodeEvent<P> {
         pkt: Box<Packet<Stamped<P>>>,
     },
     /// Port `port` of `node` finished a transmission; send the next one.
+    /// Pushed only when a packet may be waiting: a transmission that
+    /// empties its queue records its completion in the port's [`PortTx`]
+    /// instead (see there for when that record becomes a real event).
     Dequeue(NodeId, u16),
     /// Agent timer.
     Timer(NodeId, u64),
@@ -300,8 +303,11 @@ pub(crate) struct Ev<K> {
     pub(crate) kind: K,
 }
 
+/// An event's `(at, rank, seq)` sort key.
+pub(crate) type EvKey = (SimTime, u32, u64);
+
 impl<K> Ev<K> {
-    pub(crate) fn key(&self) -> (SimTime, u32, u64) {
+    pub(crate) fn key(&self) -> EvKey {
         (self.at, self.rank, self.seq)
     }
 }
@@ -332,7 +338,10 @@ pub struct FabricStats {
     pub dropped: u64,
     /// Packets trimmed to headers.
     pub trimmed: u64,
-    /// Events processed.
+    /// Events processed. A transmit completion counts only where a
+    /// packet waited for it (or a fault restart touched the port before
+    /// it): a completion that finds its queue empty is recorded on the
+    /// port and never becomes an event.
     pub events: u64,
     /// Packets lost to fabric faults: flushed from a dead element's
     /// queues, in flight on a failed link, arriving at a dead switch, or
@@ -447,7 +456,9 @@ enum FaultKey {
 pub(crate) struct Group {
     sender: NodeId,
     receivers: Vec<NodeId>,
-    pub(crate) table: HashMap<NodeId, Vec<u16>>,
+    /// The tree's output ports at each node it branches through (an
+    /// ordered map: a small per-hop lookup, no SipHash).
+    pub(crate) table: BTreeMap<NodeId, Vec<u16>>,
 }
 
 /// Per-switch flat open-addressing memo of layer re-assignments, keyed
@@ -534,6 +545,48 @@ impl LayerMemo {
     }
 }
 
+/// One port's transmit state in 16 bytes: idle, busy with its
+/// completion on the heap as a `Dequeue`, or busy with its completion
+/// *recorded* here instead.
+///
+/// A transmission that leaves its queue empty takes the `Dequeue`'s
+/// sequence number as usual but records `(at, seq)` rather than pushing
+/// it: that event would find nothing to send and only mark the port
+/// idle. The record counts as fired once the event being dispatched
+/// sorts after its key `(at, node + 1, seq)` — the port is then idle,
+/// exactly as if the no-op event had run. It becomes a real event, with
+/// its original key, when the port is touched before it fires: by an
+/// enqueue, by a [`LocalOp::Kick`], or by a transmission that would
+/// overwrite it. So the heap plus the unfired records always hold
+/// exactly the `Dequeue`s the eager schedule would, and every per-seed
+/// result except [`FabricStats::events`] is unchanged.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PortTx {
+    /// Completion time of a recorded transmission.
+    at: SimTime,
+    /// [`PortTx::IDLE_SEQ`], [`PortTx::PUSHED_SEQ`], or the recorded
+    /// completion's sequence number.
+    seq: u64,
+}
+
+impl PortTx {
+    const IDLE_SEQ: u64 = u64::MAX;
+    const PUSHED_SEQ: u64 = u64::MAX - 1;
+    const IDLE: PortTx = PortTx {
+        at: SimTime::ZERO,
+        seq: Self::IDLE_SEQ,
+    };
+    const PUSHED: PortTx = PortTx {
+        at: SimTime::ZERO,
+        seq: Self::PUSHED_SEQ,
+    };
+
+    /// The recorded completion's time, if one is recorded.
+    fn recorded(&self) -> Option<SimTime> {
+        (self.seq < Self::PUSHED_SEQ).then_some(self.at)
+    }
+}
+
 /// Everything one node owns: its port queues, transmit state, agent,
 /// RNG stream, event counter, and layer memo. Cells are stored grouped
 /// by shard so the sharded runner can hand each worker a disjoint
@@ -541,7 +594,7 @@ impl LayerMemo {
 pub(crate) struct NodeCell<P: SimPayload, A> {
     pub(crate) node: NodeId,
     pub(crate) queues: Vec<PortQueue<Stamped<P>>>,
-    pub(crate) busy: Vec<bool>,
+    pub(crate) tx: Vec<PortTx>,
     pub(crate) agent: Option<A>,
     /// Per-node RNG stream (spraying decisions), forked from the
     /// config seed in node-id order — a function of (seed, node), so
@@ -559,6 +612,48 @@ impl<P: SimPayload, A> NodeCell<P, A> {
         let s = self.seq;
         self.seq += 1;
         s
+    }
+
+    /// Bring `port`'s transmit state up to the event keyed `key`: a
+    /// recorded completion that sorts before `key` has fired (the port
+    /// is idle); one that does not is pushed onto `out` as a real
+    /// `Dequeue` with its original key. Returns whether the port is
+    /// busy.
+    fn settle_port(&mut self, port: u16, key: EvKey, out: &mut Vec<Ev<NodeEvent<P>>>) -> bool {
+        let rank = self.node.0 + 1;
+        let tx = &mut self.tx[port as usize];
+        match tx.seq {
+            PortTx::IDLE_SEQ => false,
+            PortTx::PUSHED_SEQ => true,
+            seq if (tx.at, rank, seq) < key => {
+                *tx = PortTx::IDLE;
+                false
+            }
+            seq => {
+                out.push(Ev {
+                    at: tx.at,
+                    rank,
+                    seq,
+                    kind: NodeEvent::Dequeue(self.node, port),
+                });
+                *tx = PortTx::PUSHED;
+                true
+            }
+        }
+    }
+
+    /// Apply [`LocalOp::Kick`] at the global event keyed `key`: restart
+    /// the port's transmit loop if it is idle with packets waiting.
+    pub(crate) fn kick(&mut self, port: u16, key: EvKey, out: &mut Vec<Ev<NodeEvent<P>>>) {
+        if !self.settle_port(port, key, out) && !self.queues[port as usize].is_empty() {
+            let seq = self.next_seq();
+            out.push(Ev {
+                at: key.0,
+                rank: self.node.0 + 1,
+                seq,
+                kind: NodeEvent::Dequeue(self.node, port),
+            });
+        }
     }
 }
 
@@ -727,7 +822,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
             cells.push(NodeCell {
                 node,
                 queues: (0..ports).map(|_| PortQueue::new(qc)).collect(),
-                busy: vec![false; ports],
+                tx: vec![PortTx::IDLE; ports],
                 agent: None,
                 rng: std::mem::replace(&mut rngs[node.0 as usize], Pcg32::new(0)),
                 seq: 0,
@@ -791,42 +886,6 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
             seq,
             kind,
         }));
-    }
-
-    /// Degrade (or restore) one direction of a link: packets leaving
-    /// `node` through `port` serialize at `rate_bps` instead of the
-    /// topology rate. `0` takes the direction down entirely (packets
-    /// queue until the queue overflows — a silent failure, the hardest
-    /// kind). Used for hotspot/failure-injection experiments; call
-    /// between `run_until` slices to script changes over time.
-    pub fn set_link_rate(&mut self, node: NodeId, port: u16, rate_bps: u64) {
-        assert!(
-            (port as usize) < self.topo.node_ports(node).len(),
-            "no such port"
-        );
-        if rate_bps == self.topo.port(node, port).rate_bps {
-            self.control.rate_overrides.remove(&(node.0, port));
-        } else {
-            self.control.rate_overrides.insert((node.0, port), rate_bps);
-        }
-        // Restoring a downed link must restart its transmit loop if
-        // packets queued up in the meantime.
-        if rate_bps > 0 {
-            let now = self.now;
-            let cell = self.cell(node);
-            if !cell.busy[port as usize] && !cell.queues[port as usize].is_empty() {
-                self.push_node_event(node, now, NodeEvent::Dequeue(node, port));
-            }
-        }
-    }
-
-    /// Current effective rate of a port (honouring overrides).
-    pub fn effective_rate(&self, node: NodeId, port: u16) -> u64 {
-        self.control
-            .rate_overrides
-            .get(&(node.0, port))
-            .copied()
-            .unwrap_or_else(|| self.topo.port(node, port).rate_bps)
     }
 
     /// The topology (read-only).
@@ -1097,7 +1156,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                     self.close_telemetry_buckets(gev.at);
                 }
                 self.now = gev.at;
-                self.apply_global(gev.at, gev.kind);
+                self.apply_global(gev);
                 global_processed += 1;
             } else {
                 let Some(Reverse(ev)) = next_node else {
@@ -1123,14 +1182,10 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                     &env,
                     &mut self.cells[slot],
                     &mut self.lane,
-                    ev.at,
-                    ev.rank,
-                    ev.seq,
+                    ev.key(),
                     ev.kind,
                 );
-                while let Some(oe) = self.lane.out.pop() {
-                    self.nevents.push(Reverse(oe));
-                }
+                self.push_lane_out();
                 if tele_on {
                     for (nat, _, _, fe) in self.lane.notes.drain(..) {
                         self.telemetry.record(nat, fe);
@@ -1139,16 +1194,44 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                 node_processed += 1;
             }
         }
+        self.retire_completions(deadline);
         self.lane.stats.events += node_processed;
         self.control.stats.events += global_processed;
         node_processed + global_processed
     }
 
+    /// Move the serial lane's emitted events onto the node heap.
+    fn push_lane_out(&mut self) {
+        while let Some(oe) = self.lane.out.pop() {
+            self.nevents.push(Reverse(oe));
+        }
+    }
+
+    /// End of a `run_until` slice: every recorded transmit completion
+    /// at or before `deadline` has fired. Mark those ports idle and
+    /// advance the clock (closing any telemetry bucket on the way) to
+    /// the latest of them, exactly where the eager schedule's last
+    /// `Dequeue` would have left it.
+    pub(crate) fn retire_completions(&mut self, deadline: SimTime) {
+        let mut last = self.now;
+        for tx in self.cells.iter_mut().flat_map(|c| c.tx.iter_mut()) {
+            if let Some(at) = tx.recorded().filter(|&at| at <= deadline) {
+                last = last.max(at);
+                *tx = PortTx::IDLE;
+            }
+        }
+        if last >= self.telemetry.next_boundary() {
+            self.close_telemetry_buckets(last);
+        }
+        self.now = last;
+    }
+
     /// Execute one global event: apply the shared part (mask, tables,
     /// telemetry, control stats), then the per-node ops in list order.
-    pub(crate) fn apply_global(&mut self, at: SimTime, kind: GlobalEvent) {
+    fn apply_global(&mut self, gev: Ev<GlobalEvent>) {
+        let (key, at) = (gev.key(), gev.at);
         let mut ops = Vec::new();
-        match kind {
+        match gev.kind {
             GlobalEvent::Fault(action) => {
                 // request_reroute needs to push onto the global heap:
                 // split the borrow by staging the push.
@@ -1178,12 +1261,12 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                 );
             }
         }
-        self.apply_local_ops(at, &ops);
+        self.apply_local_ops(key, &ops);
     }
 
     /// Apply a global event's per-node ops on the serial loop (a shard
     /// worker applies the same list filtered to its own cells).
-    fn apply_local_ops(&mut self, at: SimTime, ops: &[LocalOp]) {
+    fn apply_local_ops(&mut self, key: EvKey, ops: &[LocalOp]) {
         for op in ops {
             match *op {
                 LocalOp::Flush(n, p) => {
@@ -1192,10 +1275,8 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                     self.lane.stats.lost_to_fault += lost as u64;
                 }
                 LocalOp::Kick(n, p) => {
-                    let cell = self.cell(n);
-                    if !cell.busy[p as usize] && !cell.queues[p as usize].is_empty() {
-                        self.push_node_event(n, at, NodeEvent::Dequeue(n, p));
-                    }
+                    let slot = self.cell_of[n.0 as usize] as usize;
+                    self.cells[slot].kick(p, key, &mut self.lane.out);
                 }
                 LocalOp::ClearMemos => {
                     for cell in &mut self.cells {
@@ -1204,6 +1285,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                 }
             }
         }
+        self.push_lane_out();
     }
 }
 
@@ -1435,8 +1517,8 @@ fn build_tree(
     gid: GroupId,
     sender: NodeId,
     receivers: &[NodeId],
-) -> HashMap<NodeId, Vec<u16>> {
-    let mut table: HashMap<NodeId, Vec<u16>> = HashMap::new();
+) -> BTreeMap<NodeId, Vec<u16>> {
+    let mut table: BTreeMap<NodeId, Vec<u16>> = BTreeMap::new();
     for &r in receivers {
         if topo.try_next_ports(sender, r).is_empty() {
             continue;
@@ -1465,9 +1547,7 @@ pub(crate) fn dispatch_node<P: SimPayload, A: Agent<P>>(
     env: &Env<'_>,
     cell: &mut NodeCell<P, A>,
     lane: &mut Lane<P>,
-    at: SimTime,
-    rank: u32,
-    seq: u64,
+    key: EvKey,
     kind: NodeEvent<P>,
 ) {
     match kind {
@@ -1481,23 +1561,23 @@ pub(crate) fn dispatch_node<P: SimPayload, A: Agent<P>>(
                 return;
             }
             match env.topo.kind(cell.node) {
-                NodeKind::Host => deliver_to_agent(env, cell, lane, at, *pkt),
-                NodeKind::Switch => forward(env, cell, lane, at, rank, seq, *pkt),
+                NodeKind::Host => deliver_to_agent(env, cell, lane, key, *pkt),
+                NodeKind::Switch => forward(env, cell, lane, key, *pkt),
             }
         }
         NodeEvent::Dequeue(node, port) => {
             debug_assert_eq!(node, cell.node);
-            transmit_next(env, cell, lane, at, port);
+            transmit_next(env, cell, lane, key, port);
         }
         NodeEvent::Timer(node, token) => {
             debug_assert_eq!(node, cell.node);
-            let mut ctx = Ctx::new(at, node);
+            let mut ctx = Ctx::new(key.0, node);
             let agent = cell
                 .agent
                 .as_mut()
                 .expect("timer for a host without an agent");
             agent.on_timer(token, &mut ctx);
-            apply_ctx(env, cell, lane, at, ctx);
+            apply_ctx(env, cell, lane, key, ctx);
         }
     }
 }
@@ -1506,7 +1586,7 @@ fn deliver_to_agent<P: SimPayload, A: Agent<P>>(
     env: &Env<'_>,
     cell: &mut NodeCell<P, A>,
     lane: &mut Lane<P>,
-    at: SimTime,
+    key: EvKey,
     pkt: Packet<Stamped<P>>,
 ) {
     // A host receives packets addressed to it or to a group whose
@@ -1515,26 +1595,26 @@ fn deliver_to_agent<P: SimPayload, A: Agent<P>>(
         assert_eq!(h, cell.node, "unicast packet delivered to wrong host");
     }
     lane.stats.delivered += 1;
-    let mut ctx = Ctx::new(at, cell.node);
+    let mut ctx = Ctx::new(key.0, cell.node);
     let agent = cell
         .agent
         .as_mut()
         .expect("packet delivered to a host without an agent");
     agent.on_packet(unwrap_packet(pkt), &mut ctx);
-    apply_ctx(env, cell, lane, at, ctx);
+    apply_ctx(env, cell, lane, key, ctx);
 }
 
 fn apply_ctx<P: SimPayload, A: Agent<P>>(
     env: &Env<'_>,
     cell: &mut NodeCell<P, A>,
     lane: &mut Lane<P>,
-    at: SimTime,
+    key: EvKey,
     ctx: Ctx<P>,
 ) {
     let node = ctx.node;
     debug_assert_eq!(node, cell.node);
     for (t, token) in ctx.timers {
-        debug_assert!(t >= at, "scheduling into the past");
+        debug_assert!(t >= key.0, "scheduling into the past");
         let seq = cell.next_seq();
         lane.out.push(Ev {
             at: t,
@@ -1546,7 +1626,7 @@ fn apply_ctx<P: SimPayload, A: Agent<P>>(
     for pkt in ctx.sends {
         // Host NIC: hosts have exactly one port (index 0). The layer
         // stamp stays unset until the first switch assigns it.
-        enqueue_and_kick(env, cell, lane, at, 0, wrap_packet(pkt));
+        enqueue_and_kick(env, cell, lane, key, 0, wrap_packet(pkt));
     }
 }
 
@@ -1602,11 +1682,10 @@ fn forward<P: SimPayload, A: Agent<P>>(
     env: &Env<'_>,
     cell: &mut NodeCell<P, A>,
     lane: &mut Lane<P>,
-    at: SimTime,
-    rank: u32,
-    seq: u64,
+    key: EvKey,
     mut pkt: Packet<Stamped<P>>,
 ) {
+    let (at, rank, seq) = key;
     let node = cell.node;
     match pkt.dst {
         Dest::Host(dst) => {
@@ -1724,7 +1803,7 @@ fn forward<P: SimPayload, A: Agent<P>>(
                 RouteMode::EcmpFlow => choices[ecmp_choice(pkt.flow, node, choices.len())],
                 RouteMode::Spray => choices[cell.rng.below(choices.len() as u64) as usize],
             };
-            match enqueue_and_kick(env, cell, lane, at, port, pkt) {
+            match enqueue_and_kick(env, cell, lane, key, port, pkt) {
                 Enqueued::Trimmed => lane.stats.layer_trimmed[layer] += 1,
                 Enqueued::Dropped => lane.stats.layer_dropped[layer] += 1,
                 Enqueued::Queued => {}
@@ -1749,22 +1828,25 @@ fn forward<P: SimPayload, A: Agent<P>>(
                 lane.stats.lost_to_fault += 1;
                 return;
             };
-            let ports = ports.clone();
-            for port in ports {
-                enqueue_and_kick(env, cell, lane, at, port, pkt.clone());
+            let (&last, rest) = ports.split_last().expect("tree hops name ports");
+            for &port in rest {
+                enqueue_and_kick(env, cell, lane, key, port, pkt.clone());
             }
+            enqueue_and_kick(env, cell, lane, key, last, pkt);
         }
     }
 }
 
-/// Enqueue on a port and restart its transmit loop if idle. Returns
-/// the queue's verdict so callers that know the packet's routing
-/// layer can attribute trims/drops per layer.
+/// Enqueue on a port during the event keyed `key` and restart its
+/// transmit loop if idle (a recorded completion that has not fired yet
+/// becomes a real `Dequeue`: the packet waits for it). Returns the
+/// queue's verdict so callers that know the packet's routing layer can
+/// attribute trims/drops per layer.
 fn enqueue_and_kick<P: SimPayload, A: Agent<P>>(
     env: &Env<'_>,
     cell: &mut NodeCell<P, A>,
     lane: &mut Lane<P>,
-    at: SimTime,
+    key: EvKey,
     port: u16,
     pkt: Packet<Stamped<P>>,
 ) -> Enqueued {
@@ -1777,20 +1859,26 @@ fn enqueue_and_kick<P: SimPayload, A: Agent<P>>(
         Enqueued::Trimmed => lane.stats.trimmed += 1,
         Enqueued::Queued => {}
     }
-    if !cell.busy[port as usize] {
-        transmit_next(env, cell, lane, at, port);
+    if !cell.settle_port(port, key, &mut lane.out) {
+        transmit_next(env, cell, lane, key, port);
     }
     outcome
 }
 
+/// Send the port's next packet, if it can: push its `Arrive`, then
+/// either push the completion `Dequeue` (more packets wait) or record
+/// it in the port's [`PortTx`] (the queue is now empty).
 fn transmit_next<P: SimPayload, A: Agent<P>>(
     env: &Env<'_>,
     cell: &mut NodeCell<P, A>,
     lane: &mut Lane<P>,
-    at: SimTime,
+    key: EvKey,
     port: u16,
 ) {
-    let node = cell.node;
+    // A completion still recorded here is about to be overwritten:
+    // push it first if it has not fired.
+    cell.settle_port(port, key, &mut lane.out);
+    let (at, node) = (key.0, cell.node);
     let rate = env
         .control
         .rate_overrides
@@ -1802,14 +1890,13 @@ fn transmit_next<P: SimPayload, A: Agent<P>>(
         // Link down (silent rate-0 blackhole or detected fault):
         // leave the port idle; queued packets wait for a possible
         // repair (and overflow per queue discipline).
-        cell.busy[port as usize] = false;
+        cell.tx[port as usize] = PortTx::IDLE;
         return;
     }
     let Some(pkt) = cell.queues[port as usize].dequeue() else {
-        cell.busy[port as usize] = false;
+        cell.tx[port as usize] = PortTx::IDLE;
         return;
     };
-    cell.busy[port as usize] = true;
     let link = *env.topo.port(node, port);
     let ser = serialization_ns(pkt.size, rate);
     let seq = cell.next_seq();
@@ -1824,12 +1911,19 @@ fn transmit_next<P: SimPayload, A: Agent<P>>(
         },
     });
     let seq = cell.next_seq();
-    lane.out.push(Ev {
-        at: at + ser,
-        rank: node.0 + 1,
-        seq,
-        kind: NodeEvent::Dequeue(node, port),
-    });
+    // `ser > 0` keeps a recorded completion strictly after the event
+    // that records it, so key order alone decides when it fires.
+    if ser > 0 && cell.queues[port as usize].is_empty() {
+        cell.tx[port as usize] = PortTx { at: at + ser, seq };
+    } else {
+        lane.out.push(Ev {
+            at: at + ser,
+            rank: node.0 + 1,
+            seq,
+            kind: NodeEvent::Dequeue(node, port),
+        });
+        cell.tx[port as usize] = PortTx::PUSHED;
+    }
 }
 
 /// The equal-cost choice per-flow ECMP makes at `node`: a deterministic
@@ -1895,7 +1989,8 @@ mod tests {
         }
     }
 
-    /// Test agent: records receptions; sends a preloaded batch on timer 0.
+    /// Test agent: records receptions; sends its preloaded batch on
+    /// timer 0, and only the next preloaded packet on any other token.
     struct Echo {
         to_send: Vec<Packet<P>>,
         received: Vec<(SimTime, P)>,
@@ -1905,8 +2000,9 @@ mod tests {
         fn on_packet(&mut self, pkt: Packet<P>, ctx: &mut Ctx<P>) {
             self.received.push((ctx.now, pkt.payload));
         }
-        fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<P>) {
-            for pkt in self.to_send.drain(..) {
+        fn on_timer(&mut self, token: u64, ctx: &mut Ctx<P>) {
+            let n = if token == 0 { self.to_send.len() } else { 1 };
+            for pkt in self.to_send.drain(..n) {
                 ctx.send(pkt);
             }
         }
@@ -1923,10 +2019,22 @@ mod tests {
     }
 
     fn two_host_sim(config: SimConfig) -> (Simulator<P, Echo>, NodeId, NodeId) {
-        // host A — switch — host B
+        line_sim(config, false)
+    }
+
+    /// Host A — switch — host B (1 Gbps, 10 µs links). With
+    /// `switch_first` the switch gets node id 0, so A's arrivals at the
+    /// switch sort *after* the switch's own events at the same instant;
+    /// otherwise A is node 0 and they sort before.
+    fn line_sim(config: SimConfig, switch_first: bool) -> (Simulator<P, Echo>, NodeId, NodeId) {
         let mut t = Topology::new();
-        let a = t.add_node(NodeKind::Host);
-        let s = t.add_node(NodeKind::Switch);
+        let (a, s) = if switch_first {
+            let s = t.add_node(NodeKind::Switch);
+            (t.add_node(NodeKind::Host), s)
+        } else {
+            let a = t.add_node(NodeKind::Host);
+            (a, t.add_node(NodeKind::Switch))
+        };
         let b = t.add_node(NodeKind::Host);
         t.connect(a, s, 1_000_000_000, 10_000);
         t.connect(b, s, 1_000_000_000, 10_000);
@@ -1974,12 +2082,21 @@ mod tests {
         (sim, a, c, b)
     }
 
-    #[test]
-    fn single_packet_latency_exact() {
-        let (mut sim, a, b) = two_host_sim(SimConfig::ndp(1));
-        sim.agent_mut(a).to_send.push(data_pkt(a, b, 0));
+    /// Run a burst of `n` back-to-back packets from A to B over
+    /// [`line_sim`].
+    fn burst(n: u32, switch_first: bool) -> (Simulator<P, Echo>, NodeId) {
+        let (mut sim, a, b) = line_sim(SimConfig::ndp(1), switch_first);
+        for i in 0..n {
+            sim.agent_mut(a).to_send.push(data_pkt(a, b, i));
+        }
         sim.schedule_timer(a, SimTime::ZERO, 0);
         sim.run_to_completion();
+        (sim, b)
+    }
+
+    #[test]
+    fn single_packet_latency_exact() {
+        let (sim, b) = burst(1, false);
         let rec = &sim.agent(b).received;
         assert_eq!(rec.len(), 1);
         // Two store-and-forward hops: 2 × (12µs ser + 10µs prop).
@@ -1988,18 +2105,134 @@ mod tests {
 
     #[test]
     fn fifo_pipelining() {
-        let (mut sim, a, b) = two_host_sim(SimConfig::ndp(1));
-        for i in 0..3 {
-            sim.agent_mut(a).to_send.push(data_pkt(a, b, i));
-        }
-        sim.schedule_timer(a, SimTime::ZERO, 0);
-        sim.run_to_completion();
+        let (sim, b) = burst(3, false);
         let rec = &sim.agent(b).received;
         assert_eq!(rec.len(), 3);
         // In order, spaced by one serialization delay.
         assert_eq!(rec[0].1, P::Data(0));
         assert_eq!(rec[1].0 - rec[0].0, 12_000);
         assert_eq!(rec[2].0 - rec[1].0, 12_000);
+    }
+
+    /// The event counts of `single_packet_latency_exact` and
+    /// `fifo_pipelining`, derived by hand: one `Arrive` per hop, and a
+    /// `Dequeue` only where a packet waited for a transmission to end.
+    #[test]
+    fn dequeue_only_where_a_packet_waited() {
+        // The timer and one arrival per hop. Neither transmission left
+        // a packet waiting, so neither completion became a `Dequeue`.
+        assert_eq!(burst(1, false).0.stats().events, 3);
+        // Timer 1 + arrivals 3 at the switch and 3 at B + two `Dequeue`s
+        // at A (packets 1 and 2 queued behind the NIC) + two at the
+        // switch (packets 1 and 2 each arrive from A — node 0, sorting
+        // first — at the very instant the switch's previous
+        // transmission ends, so each waits for that completion). Every
+        // last transmission's completion stays recorded.
+        assert_eq!(burst(3, false).0.stats().events, 11);
+    }
+
+    /// A packet reaching a port at exactly the instant the port's
+    /// previous transmission ends: from an arrival that sorts before the
+    /// recorded completion it waits for it (a `Dequeue` is pushed and
+    /// runs at the same instant); from one that sorts after, the
+    /// completion has fired and the packet goes straight out. Either way
+    /// it leaves at that instant.
+    #[test]
+    fn dequeue_at_completion_instant_sorts_by_key() {
+        for (switch_first, events) in [(false, 7), (true, 6)] {
+            let (sim, b) = burst(2, switch_first);
+            // Packet 1 leaves A at 12 µs (one `Dequeue` at A) and reaches
+            // the switch at 34 µs, the instant packet 0's transmission
+            // there ends; it then leaves at once: 34 + 22 = 56 µs at B.
+            let rec = &sim.agent(b).received;
+            assert_eq!(
+                rec,
+                &[
+                    (SimTime::from_micros(44), P::Data(0)),
+                    (SimTime::from_micros(56), P::Data(1)),
+                ]
+            );
+            // Timer, `Dequeue` at A, 2 + 2 arrivals, and a `Dequeue` at
+            // the switch only when the arrival sorted before it.
+            assert_eq!(sim.stats().events, events, "switch_first={switch_first}");
+            assert_eq!(sim.now(), SimTime::from_micros(56));
+        }
+    }
+
+    /// A `run_until` slice ending after a transmission but before its
+    /// arrival leaves the clock at the end of the transmission, where
+    /// the eager schedule's `Dequeue` would have left it.
+    #[test]
+    fn dequeue_record_retires_at_slice_deadline() {
+        let (mut sim, a, b) = two_host_sim(SimConfig::ndp(1));
+        sim.agent_mut(a).to_send.push(data_pkt(a, b, 0));
+        sim.schedule_timer(a, SimTime::ZERO, 0);
+        assert_eq!(sim.run_until(SimTime::from_micros(15)), 1, "the timer");
+        assert_eq!(sim.now(), SimTime::from_micros(12));
+        sim.run_to_completion();
+        assert_eq!(sim.agent(b).received[0].0, SimTime::from_micros(44));
+        assert_eq!(sim.now(), SimTime::from_micros(44));
+    }
+
+    /// A rate change takes a host's NIC to 0 and restores it while the
+    /// NIC's last completion is still only recorded, then blocks it again
+    /// across a completion with a packet parked behind it. Deliveries
+    /// follow the hand-computed schedule, and 2 shards reproduce the
+    /// serial run.
+    #[test]
+    fn dequeue_records_survive_rate_changes_sharded() {
+        let run = |shards: usize| {
+            let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+            let hosts = t.hosts().to_vec();
+            let (src, dst) = (hosts[0], hosts[15]);
+            let mut cfg = SimConfig::ndp(3);
+            cfg.shards = shards;
+            let mut sim = Simulator::new(t, cfg);
+            for &h in &hosts {
+                sim.set_agent(
+                    h,
+                    Echo {
+                        to_send: vec![],
+                        received: vec![],
+                    },
+                );
+            }
+            for i in 0..3 {
+                sim.agent_mut(src).to_send.push(data_pkt(src, dst, i));
+            }
+            // Packet 0 at 0 µs (its completion at 12 µs is recorded);
+            // packet 1 at 9 µs waits for it; packet 2 at 22 µs waits
+            // for packet 1's completion at 24 µs, which finds the port
+            // at rate 0 and parks it until the restore at 40 µs.
+            for at in [0, 9, 22] {
+                sim.schedule_timer(src, SimTime::from_micros(at), 1);
+            }
+            let plan = FaultPlan::new()
+                .rate_change(SimTime::from_micros(3), src, 0, 0)
+                .rate_change(SimTime::from_micros(6), src, 0, 1_000_000_000)
+                .rate_change(SimTime::from_micros(20), src, 0, 0)
+                .rate_change(SimTime::from_micros(40), src, 0, 1_000_000_000);
+            sim.schedule_faults(&plan);
+            sim.run_to_completion();
+            let stats = sim.stats();
+            let trace = sim.agent(dst).received.clone();
+            (stats, trace, sim.now())
+        };
+        let (serial_stats, serial_trace, serial_now) = run(1);
+        // Six store-and-forward hops of 22 µs after leaving the NIC at
+        // 0, 12 and 40 µs.
+        let hops = 6 * 22;
+        assert_eq!(
+            serial_trace,
+            [(0, 0), (12, 1), (40, 2)]
+                .map(|(left, i)| (SimTime::from_micros(left + hops), P::Data(i)))
+        );
+        assert_eq!(serial_now, SimTime::from_micros(40 + hops));
+        let (stats, trace, now) = run(2);
+        assert!(stats.shard_epochs > 0, "must actually run sharded");
+        assert_eq!(serial_stats.shard_invariant(), stats.shard_invariant());
+        assert_eq!(serial_trace, trace);
+        assert_eq!(serial_now, now);
     }
 
     #[test]
@@ -2370,9 +2603,9 @@ mod tests {
         let s = hosts[0];
         let receivers = [hosts[5], hosts[9], hosts[13]];
         let gid = sim.register_group(s, &receivers);
-        // Kill a core the tree actually crosses (the tests module can
-        // see the private table; min-id keeps the HashMap's arbitrary
-        // key order out of the test); the repair must re-tree around it.
+        // Kill the lowest-id core the tree actually crosses (the tests
+        // module can see the private table); the repair must re-tree
+        // around it.
         let victim = *sim.control.groups[&gid]
             .table
             .keys()
