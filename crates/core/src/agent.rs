@@ -230,16 +230,6 @@ impl PolyraptorAgent {
         }
     }
 
-    /// Number of still-active receiver sessions (incomplete transfers).
-    pub fn active_receives(&self) -> usize {
-        self.active_recv
-    }
-
-    /// Access a sender session (tests/diagnostics).
-    pub fn sender_session(&self, id: SessionId) -> Option<&SenderSession> {
-        self.send_sessions.get(&id)
-    }
-
     /// Protocol configuration.
     pub fn config(&self) -> &PrConfig {
         &self.cfg

@@ -1,41 +1,49 @@
-//! Sharded event loop: conservative time-window parallel simulation.
+//! The event-loop driver: conservative time-window simulation over one
+//! or more shards. Every [`Simulator::run_until`] runs here.
 //!
 //! The fabric is partitioned into switch-group shards (hosts follow
 //! their access switch; fat-tree pods fall out of seeded graph-growing
 //! over the non-core switches; Jellyfish partitions the same way; core
 //! switches are round-robined). Each shard owns its nodes' cells and a
-//! private event heap, and shards run on scoped threads under
-//! conservative synchronisation: every epoch, each shard executes its
+//! private event heap and runs in epochs: each shard executes its
 //! events up to `horizon = min(all shard clocks) + lookahead`, where
 //! lookahead is the minimum propagation delay over cross-shard links —
 //! an event at time `t` can influence another shard no earlier than
 //! `t + lookahead`, so everything below the horizon is safe to run
 //! without seeing the neighbours' future. Cross-shard packets travel
 //! through per-epoch mailboxes; global events (faults and reroutes,
-//! which mutate fabric-wide state) execute serially at barriers, as do
-//! telemetry bucket closes.
+//! which mutate fabric-wide state) execute at barriers, as do telemetry
+//! bucket closes and the replay of buffered telemetry notes.
+//!
+//! One shard — the default, and any fabric too small to split — is the
+//! same driver run inline on the calling thread: no thread is spawned,
+//! no link crosses a shard so the lookahead is unbounded, and one
+//! window runs every event up to the next global event, bucket boundary
+//! or deadline. One-shard and sharded runs differ only in threads,
+//! barriers, mailboxes and lookahead.
 //!
 //! Determinism is inherited, not re-proved: every event carries the
 //! execution-order-independent key `(time, author rank, author seq)`
 //! (see [`crate::sim`]), so each shard's heap pops its events in
-//! exactly the order the serial loop would have reached them, each
-//! node's RNG stream and sequence counter advance identically, and the
+//! exactly the order one heap holding every event would, each node's
+//! RNG stream and sequence counter advance identically, and the
 //! mailbox insertion order is irrelevant. A sharded run is therefore
-//! byte-identical to the serial run at any shard count —
+//! byte-identical to the one-shard run at any shard count —
 //! [`crate::FabricStats::shard_invariant`] masks only the three
 //! counters describing the runner itself.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::{Barrier, Mutex, RwLock};
 
 use crate::packet::SimPayload;
 use crate::sim::{
-    apply_fault_shared, dispatch_node, reroute_shared, target_of, Agent, Control, Env, Ev, EvKey,
-    FabricStats, GlobalEvent, Lane, LocalOp, NodeEvent, Simulator, GLOBAL_RANK,
+    close_buckets, dispatch_node, probe_ports, run_global, target_of, Agent, Control, Env, Ev,
+    EvKey, FabricStats, Lane, LocalOp, NodeCell, NodeEvent, Note, SimConfig, Simulator,
+    GLOBAL_RANK,
 };
-use crate::telemetry::{FabricEvent, PortProbe, TelemetrySink};
+use crate::telemetry::{PortProbe, TelemetrySink};
 use crate::time::SimTime;
 use crate::topology::{NodeId, NodeKind, Topology};
 
@@ -43,10 +51,6 @@ use crate::topology::{NodeId, NodeKind, Topology};
 type ShardHeap<P> = BinaryHeap<Reverse<Ev<NodeEvent<P>>>>;
 /// `mailboxes[dst][src]`: cross-shard events posted during a window.
 type Mailboxes<P> = Vec<Vec<Mutex<Vec<Ev<NodeEvent<P>>>>>>;
-/// What each worker hands back at the end of the run: its remaining
-/// heap, its lane (stats + buffered notes), events processed, and the
-/// timestamp of the last event it executed.
-type WorkerResult<P> = (ShardHeap<P>, Lane<P>, u64, u64);
 
 /// A partition of a topology into event-loop shards (see the module
 /// docs). Built once per simulator; purely a wall-clock knob — the
@@ -54,14 +58,15 @@ type WorkerResult<P> = (ShardHeap<P>, Lane<P>, u64, u64);
 #[derive(Debug, Clone)]
 pub struct ShardPlan {
     /// Number of shards (≥ 1; a plan that collapses to 1 means the
-    /// topology is too small to shard and the serial loop runs).
+    /// topology is too small to shard, and the simulator keeps no plan).
     pub shards: usize,
     /// Shard of every node, indexed by node id. Hosts always share
     /// their access switch's shard, so host↔ToR traffic never crosses
     /// a shard boundary.
     pub shard_of: Vec<u32>,
     /// The conservative lookahead: the minimum propagation delay over
-    /// links whose endpoints live in different shards (≥ 1 ns). Within
+    /// links whose endpoints live in different shards (≥ 1 ns;
+    /// `u64::MAX` when no link crosses a shard boundary). Within
     /// one epoch every shard may run `lookahead_ns` past the globally
     /// slowest shard without missing a cross-shard arrival.
     pub lookahead_ns: u64,
@@ -226,16 +231,16 @@ impl ShardPlan {
         // cross-shard influence is a packet arrival over a physical
         // link (hosts are single-homed onto their own shard's ToR), so
         // propagation alone bounds it; ≥ 1 keeps the window open even
-        // in pathological zero-delay configs.
-        let mut la = u64::MAX;
+        // in pathological zero-delay configs. No cross-shard link, no
+        // bound.
+        let mut lookahead_ns = u64::MAX;
         for i in 0..n {
             for p in topo.node_ports(NodeId(i as u32)) {
                 if shard_of[i] != shard_of[p.peer.0 as usize] {
-                    la = la.min(p.prop_ns);
+                    lookahead_ns = lookahead_ns.min(p.prop_ns.max(1));
                 }
             }
         }
-        let lookahead_ns = if la == u64::MAX { 1 } else { la.max(1) };
         let mut order = Vec::with_capacity(n);
         let mut ranges = Vec::with_capacity(k);
         for s in 0..k as u32 {
@@ -257,11 +262,12 @@ impl ShardPlan {
     }
 }
 
-/// What each shard contributes to the serial synchronisation points:
-/// buffered telemetry notes every epoch, plus (at bucket boundaries) a
+/// What each shard contributes to the synchronisation points: buffered
+/// telemetry notes every epoch, plus (at bucket boundaries) a
 /// cumulative stats snapshot and this shard's switch-port probes.
+#[derive(Default)]
 struct ShardBin {
-    notes: Vec<(SimTime, u32, u64, FabricEvent)>,
+    notes: Vec<Note>,
     probes: Vec<PortProbe>,
     stats: FabricStats,
 }
@@ -270,389 +276,347 @@ struct ShardBin {
 /// read by every worker during windows (forwarding consults the fault
 /// mask and routes), written only by worker 0 at global-event and
 /// bucket-boundary barriers.
-struct SharedCtx<'a, P, T> {
+struct SharedCtx<'a, T> {
     topo: &'a mut Topology,
     control: &'a mut Control,
     telemetry: &'a mut T,
-    gevents: &'a mut BinaryHeap<Reverse<Ev<GlobalEvent>>>,
-    /// Per-node ops of the last applied global event (keyed
-    /// `ops_key`), for workers to apply to their own cells (in list
+    /// Per-node ops of the last executed global event (keyed
+    /// `ops_key`), for each worker to apply to its own cells (in list
     /// order) after the barrier.
     ops: Vec<LocalOp>,
     ops_key: EvKey,
-    g_processed: u64,
-    g_last_at: u64,
-    _payload: std::marker::PhantomData<fn() -> P>,
+}
+
+/// Everything the shards of one `run_until` share.
+struct Driver<'a, P, T> {
+    /// Shard of every node; `None` with one shard, where every event
+    /// stays on the one heap.
+    shard_of: Option<&'a [u32]>,
+    cell_of: &'a [u32],
+    config: &'a SimConfig,
+    lookahead: u64,
+    deadline_ns: u64,
+    tele_on: bool,
+    shared: RwLock<SharedCtx<'a, T>>,
+    mailboxes: Mailboxes<P>,
+    bins: Vec<Mutex<ShardBin>>,
+    /// Published clocks: every shard's next event, the next global
+    /// event, the next bucket boundary.
+    next_pub: Vec<AtomicU64>,
+    tg_pub: AtomicU64,
+    tb_pub: AtomicU64,
+    barrier: Barrier,
+}
+
+/// One shard's execution lane: its contiguous slice of cells (starting
+/// at slot `slot_base`), its heap, its lane scratch, and the time of
+/// the last event it executed.
+struct Worker<'c, P: SimPayload, A> {
+    w: usize,
+    cells: &'c mut [NodeCell<P, A>],
+    slot_base: usize,
+    heap: ShardHeap<P>,
+    lane: Lane<P>,
+    last_at: u64,
 }
 
 /// Drain every bin's buffered notes and replay them to the sink in
-/// `(time, rank, seq)` order — exactly the order the serial loop's
-/// inline `record` calls would have made (serial processing order *is*
-/// key order, and one author's notes are already key-sorted per bin).
-fn flush_notes<T: TelemetrySink>(telemetry: &mut T, bins: &[Mutex<ShardBin>]) {
+/// `(time, rank, seq)` order — the order the events that wrote them
+/// execute in on one heap (one author's notes are already key-sorted
+/// per bin).
+fn replay_notes<T: TelemetrySink>(telemetry: &mut T, bins: &[Mutex<ShardBin>]) {
     let mut all = Vec::new();
     for bin in bins {
         all.append(&mut bin.lock().expect("bin lock").notes);
     }
-    all.sort_by_key(|&(at, rank, seq, _)| (at, rank, seq));
-    for (at, _, _, fe) in all {
+    all.sort_by_key(|&(key, _)| key);
+    for ((at, _, _), fe) in all {
         telemetry.record(at, fe);
     }
 }
 
-/// Run `sim` up to `deadline` on the sharded loop. Byte-identical to
-/// [`Simulator::run_until`]'s serial path per seed; returns the number
-/// of events processed across all shards plus global events.
-pub(crate) fn run_sharded<P, A, T>(sim: &mut Simulator<P, A, T>, deadline: SimTime) -> u64
+/// Run `sim` up to `deadline`: split the cells and node events into the
+/// plan's shards (one shard without a plan), run the epoch loop on
+/// every shard — inline with one shard, on scoped threads otherwise —
+/// then merge heaps and lanes back. Returns the number of events
+/// processed, node and global.
+pub(crate) fn run<P, A, T>(sim: &mut Simulator<P, A, T>, deadline: SimTime) -> u64
 where
     P: SimPayload + Send,
     A: Agent<P> + Send,
     T: TelemetrySink + Send + Sync,
 {
-    let plan = sim.plan.clone().expect("sharded run without a plan");
-    let k = plan.shards;
-    let deadline_ns = deadline.as_nanos();
-    let lookahead = plan.lookahead_ns;
-    let tele_on = sim.telemetry.enabled();
-    let entry_now = sim.now;
-    let reroute_delay = sim.config.reroute_delay_ns;
+    let events_before = sim.stats().events;
+    let entry_ns = sim.now.as_nanos();
+    let plan = sim.plan.as_ref();
+    let k = plan.map_or(1, |p| p.shards);
 
-    // Distribute the pending node events to per-shard heaps.
-    let mut heaps: Vec<BinaryHeap<Reverse<Ev<NodeEvent<P>>>>> =
-        (0..k).map(|_| BinaryHeap::new()).collect();
-    while let Some(Reverse(ev)) = sim.nevents.pop() {
-        let t = target_of(&ev.kind, &sim.topo);
-        heaps[plan.shard_of[t.0 as usize] as usize].push(Reverse(ev));
-    }
-
-    let config = &sim.config;
-    let cell_of = &sim.cell_of;
-    let shared = RwLock::new(SharedCtx::<P, T> {
-        topo: &mut sim.topo,
-        control: &mut sim.control,
-        telemetry: &mut sim.telemetry,
-        gevents: &mut sim.gevents,
-        ops: Vec::new(),
-        ops_key: (entry_now, GLOBAL_RANK, 0),
-        g_processed: 0,
-        g_last_at: entry_now.as_nanos(),
-        _payload: std::marker::PhantomData,
-    });
-
-    // Disjoint per-shard cell slices (cells are stored shard-grouped).
-    let mut slices: Vec<&mut [crate::sim::NodeCell<P, A>]> = Vec::with_capacity(k);
+    // Cells are stored shard-grouped: hand each worker its contiguous
+    // slice. Worker 0 carries the simulator's lane, so its stats stay
+    // cumulative across `run_until` slices.
+    let mut workers = Vec::with_capacity(k);
     let mut rest = &mut sim.cells[..];
-    for &(s, e) in &plan.ranges {
-        let (head, tail) = rest.split_at_mut(e - s);
-        slices.push(head);
+    for w in 0..k {
+        let len = plan.map_or(rest.len(), |p| p.ranges[w].1 - p.ranges[w].0);
+        let (cells, tail) = std::mem::take(&mut rest).split_at_mut(len);
         rest = tail;
+        workers.push(Worker {
+            w,
+            slot_base: plan.map_or(0, |p| p.ranges[w].0),
+            cells,
+            heap: BinaryHeap::new(),
+            lane: Lane::default(),
+            last_at: entry_ns,
+        });
+    }
+    workers[0].lane = std::mem::take(&mut sim.lane);
+    workers[0].heap = std::mem::take(&mut sim.nevents);
+    if let Some(p) = plan {
+        for Reverse(ev) in std::mem::take(&mut workers[0].heap).into_vec() {
+            let s = p.shard_of[target_of(&ev.kind, &sim.topo).0 as usize] as usize;
+            workers[s].heap.push(Reverse(ev));
+        }
     }
 
-    // mailboxes[dst][src]: cross-shard events posted during a window,
-    // drained by the destination after the epoch barrier. Insertion
-    // order is irrelevant — the heap's total key order re-serialises.
-    let mailboxes: Mailboxes<P> = (0..k)
-        .map(|_| (0..k).map(|_| Mutex::new(Vec::new())).collect())
-        .collect();
-    let bins: Vec<Mutex<ShardBin>> = (0..k)
-        .map(|_| {
-            Mutex::new(ShardBin {
-                notes: Vec::new(),
-                probes: Vec::new(),
-                stats: FabricStats::default(),
-            })
+    let tele_on = sim.telemetry.enabled();
+    let d = Driver {
+        shard_of: plan.map(|p| &p.shard_of[..]),
+        cell_of: &sim.cell_of,
+        config: &sim.config,
+        lookahead: plan.map_or(u64::MAX, |p| p.lookahead_ns),
+        deadline_ns: deadline.as_nanos(),
+        tele_on,
+        shared: RwLock::new(SharedCtx {
+            topo: &mut sim.topo,
+            control: &mut sim.control,
+            telemetry: &mut sim.telemetry,
+            ops: Vec::new(),
+            ops_key: (sim.now, GLOBAL_RANK, 0),
+        }),
+        mailboxes: (0..k)
+            .map(|_| (0..k).map(|_| Mutex::default()).collect())
+            .collect(),
+        bins: (0..k).map(|_| Mutex::default()).collect(),
+        next_pub: (0..k).map(|_| AtomicU64::new(u64::MAX)).collect(),
+        tg_pub: AtomicU64::new(u64::MAX),
+        tb_pub: AtomicU64::new(u64::MAX),
+        barrier: Barrier::new(k),
+    };
+    let workers: Vec<Worker<P, A>> = if k == 1 {
+        workers.into_iter().map(|wk| d.work(wk)).collect()
+    } else {
+        std::thread::scope(|scope| {
+            let d = &d;
+            let handles: Vec<_> = workers
+                .into_iter()
+                .map(|wk| scope.spawn(move || d.work(wk)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard worker panicked"))
+                .collect()
         })
-        .collect();
-    let next_pub: Vec<AtomicU64> = (0..k).map(|_| AtomicU64::new(0)).collect();
-    let tg_pub = AtomicU64::new(u64::MAX);
-    let tb_pub = AtomicU64::new(u64::MAX);
-    let barrier = Barrier::new(k);
+    };
 
-    let mut results: Vec<WorkerResult<P>> = Vec::with_capacity(k);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(k);
-        for (w, (mut heap, cells_w)) in heaps.drain(..).zip(slices.drain(..)).enumerate() {
-            let (plan, shared, barrier) = (&plan, &shared, &barrier);
-            let (mailboxes, bins, next_pub) = (&mailboxes, &bins, &next_pub);
-            let (tg_pub, tb_pub) = (&tg_pub, &tb_pub);
-            handles.push(scope.spawn(move || {
-                let slot_base = plan.ranges[w].0;
-                let mut lane = Lane::<P>::default();
-                let mut processed = 0u64;
-                let mut last_at = entry_now.as_nanos();
-                loop {
-                    // Phase 1: hand buffered notes to the bin and
-                    // publish this shard's clock; worker 0 publishes
-                    // the global and bucket-boundary clocks.
-                    if tele_on && !lane.notes.is_empty() {
-                        bins[w]
-                            .lock()
-                            .expect("bin lock")
-                            .notes
-                            .append(&mut lane.notes);
-                    }
-                    let t_own = heap
-                        .peek()
-                        .map(|Reverse(e)| e.at.as_nanos())
-                        .unwrap_or(u64::MAX);
-                    next_pub[w].store(t_own, Ordering::SeqCst);
-                    if w == 0 {
-                        let g = shared.read().expect("shared read");
-                        tg_pub.store(
-                            g.gevents
-                                .peek()
-                                .map(|Reverse(e)| e.at.as_nanos())
-                                .unwrap_or(u64::MAX),
-                            Ordering::SeqCst,
-                        );
-                        tb_pub.store(g.telemetry.next_boundary().as_nanos(), Ordering::SeqCst);
-                    }
-                    barrier.wait();
-                    // Phase 2: every worker computes the same branch
-                    // from the published clocks.
-                    let t_node = next_pub
-                        .iter()
-                        .map(|a| a.load(Ordering::SeqCst))
-                        .min()
-                        .expect("k >= 1");
-                    let tg = tg_pub.load(Ordering::SeqCst);
-                    let tb = tb_pub.load(Ordering::SeqCst);
-                    let t_next = t_node.min(tg);
-                    if t_next == u64::MAX {
-                        break; // all heaps drained
-                    }
-                    if t_next > deadline_ns {
-                        break;
-                    }
-                    if w == 0 {
-                        lane.stats.shard_epochs += 1;
-                    }
-                    if tb <= t_next {
-                        // Bucket boundary: contribute probes and a
-                        // cumulative stats snapshot, then worker 0
-                        // closes buckets exactly as the serial loop
-                        // would before executing the event at t_next.
-                        {
-                            let g = shared.read().expect("shared read");
-                            let mut bin = bins[w].lock().expect("bin lock");
-                            bin.stats = lane.stats;
-                            bin.probes.clear();
-                            for cell in cells_w.iter() {
-                                if g.topo.kind(cell.node) != NodeKind::Switch {
-                                    continue;
-                                }
-                                for (p, q) in cell.queues.iter().enumerate() {
-                                    bin.probes.push(PortProbe {
-                                        node: cell.node.0,
-                                        port: p as u16,
-                                        depth: q.len() as u32,
-                                        queue: q.stats(),
-                                    });
-                                }
-                            }
-                        }
-                        barrier.wait();
-                        if w == 0 {
-                            let mut g = shared.write().expect("shared write");
-                            let sh = &mut *g;
-                            flush_notes(sh.telemetry, bins);
-                            let mut probes = Vec::new();
-                            let mut total = sh.control.stats;
-                            for bin in bins {
-                                let mut b = bin.lock().expect("bin lock");
-                                probes.append(&mut b.probes);
-                                total.absorb(&b.stats);
-                            }
-                            probes.sort_by_key(|p| (p.node, p.port));
-                            let upto = SimTime::from_nanos(t_next);
-                            while upto >= sh.telemetry.next_boundary() {
-                                sh.telemetry.close_bucket(&total, &probes);
-                            }
-                        }
-                        continue;
-                    }
-                    if tg <= t_node {
-                        // Global event: worker 0 applies the shared
-                        // part serially; everyone then applies its
-                        // per-node ops to its own cells.
-                        if w == 0 {
-                            let mut g = shared.write().expect("shared write");
-                            let sh = &mut *g;
-                            if tele_on {
-                                flush_notes(sh.telemetry, bins);
-                            }
-                            let Reverse(gev) =
-                                sh.gevents.pop().expect("global clock from this heap");
-                            debug_assert_eq!(gev.at.as_nanos(), tg);
-                            sh.g_last_at = tg;
-                            sh.g_processed += 1;
-                            sh.ops.clear();
-                            sh.ops_key = gev.key();
-                            match gev.kind {
-                                GlobalEvent::Fault(action) => {
-                                    let mut reroute_at = None;
-                                    apply_fault_shared(
-                                        sh.topo,
-                                        sh.control,
-                                        sh.telemetry,
-                                        reroute_delay,
-                                        gev.at,
-                                        action,
-                                        &mut sh.ops,
-                                        &mut reroute_at,
-                                    );
-                                    if let Some(t) = reroute_at {
-                                        let seq = sh.control.gseq;
-                                        sh.control.gseq += 1;
-                                        sh.gevents.push(Reverse(Ev {
-                                            at: t,
-                                            rank: GLOBAL_RANK,
-                                            seq,
-                                            kind: GlobalEvent::Reroute,
-                                        }));
-                                    }
-                                }
-                                GlobalEvent::Reroute => {
-                                    sh.control.reroute_pending = false;
-                                    reroute_shared(
-                                        sh.topo,
-                                        sh.control,
-                                        sh.telemetry,
-                                        gev.at,
-                                        &mut sh.ops,
-                                    );
-                                }
-                            }
-                        }
-                        barrier.wait();
-                        {
-                            let g = shared.read().expect("shared read");
-                            for op in &g.ops {
-                                match *op {
-                                    LocalOp::Flush(node, p) => {
-                                        if plan.shard_of[node.0 as usize] as usize != w {
-                                            continue;
-                                        }
-                                        let slot = cell_of[node.0 as usize] as usize - slot_base;
-                                        let lost = cells_w[slot].queues[p as usize].flush();
-                                        lane.stats.lost_to_fault += lost as u64;
-                                    }
-                                    LocalOp::Kick(node, p) => {
-                                        if plan.shard_of[node.0 as usize] as usize != w {
-                                            continue;
-                                        }
-                                        let slot = cell_of[node.0 as usize] as usize - slot_base;
-                                        cells_w[slot].kick(p, g.ops_key, &mut lane.out);
-                                    }
-                                    LocalOp::ClearMemos => {
-                                        for cell in cells_w.iter_mut() {
-                                            cell.memo.clear();
-                                        }
-                                    }
-                                }
-                            }
-                            // Kicks only emit this shard's own events.
-                            heap.extend(lane.out.drain(..).map(Reverse));
-                        }
-                        continue;
-                    }
-                    // Window: run this shard's events strictly below
-                    // the conservative horizon. Everything a window
-                    // event can emit lands either back on this heap
-                    // (own-node timers/dequeues, same-shard arrivals,
-                    // possibly still inside the window) or at
-                    // `t + cross-shard prop ≥ horizon` in a mailbox.
-                    let horizon = t_node
-                        .saturating_add(lookahead)
-                        .min(tg)
-                        .min(tb)
-                        .min(deadline_ns.saturating_add(1));
-                    let mut did = 0u64;
-                    {
-                        let g = shared.read().expect("shared read");
-                        let env = Env {
-                            topo: &*g.topo,
-                            config,
-                            control: &*g.control,
-                            tele_on,
-                        };
-                        loop {
-                            let ready = heap
-                                .peek()
-                                .is_some_and(|Reverse(e)| e.at.as_nanos() < horizon);
-                            if !ready {
-                                break;
-                            }
-                            let Reverse(ev) = heap.pop().expect("peeked");
-                            last_at = ev.at.as_nanos();
-                            let target = target_of(&ev.kind, env.topo);
-                            let slot = cell_of[target.0 as usize] as usize - slot_base;
-                            dispatch_node(&env, &mut cells_w[slot], &mut lane, ev.key(), ev.kind);
-                            while let Some(oe) = lane.out.pop() {
-                                let ot = target_of(&oe.kind, env.topo);
-                                let os = plan.shard_of[ot.0 as usize] as usize;
-                                if os == w {
-                                    heap.push(Reverse(oe));
-                                } else {
-                                    lane.stats.cross_shard_packets += 1;
-                                    mailboxes[os][w].lock().expect("mailbox").push(oe);
-                                }
-                            }
-                            did += 1;
-                        }
-                    }
-                    if did == 0 && t_own != u64::MAX {
-                        // Had work, but the horizon closed before any
-                        // of it: the conservative window held this
-                        // shard back a full epoch.
-                        lane.stats.horizon_stalls += 1;
-                    }
-                    processed += did;
-                    barrier.wait();
-                    // Epoch close: collect what the neighbours mailed.
-                    for slot in &mailboxes[w] {
-                        let mut mb = slot.lock().expect("mailbox");
-                        for ev in mb.drain(..) {
-                            heap.push(Reverse(ev));
-                        }
+    // Reassemble: flush the notes buffered since the last
+    // synchronisation point, merge heaps and lanes back into the
+    // simulator, and advance the clock to the last executed event.
+    let sh = d.shared.into_inner().expect("shared state poisoned");
+    replay_notes(sh.telemetry, &d.bins);
+    // `ops_key` is the last global event's key (the entry time if none
+    // ran).
+    let mut last_ns = sh.ops_key.0.as_nanos();
+    for mut wk in workers {
+        sim.nevents.append(&mut wk.heap);
+        sim.lane.stats.absorb(&wk.lane.stats);
+        last_ns = last_ns.max(wk.last_at);
+    }
+    sim.now = SimTime::from_nanos(last_ns);
+    sim.retire_completions(deadline);
+    sim.stats().events - events_before
+}
+
+impl<P, T> Driver<'_, P, T>
+where
+    P: SimPayload + Send,
+    T: TelemetrySink + Send + Sync,
+{
+    /// One shard's epoch loop. Every worker computes the same branch
+    /// from the clocks published at the epoch's first barrier.
+    fn work<'c, A: Agent<P>>(&self, mut wk: Worker<'c, P, A>) -> Worker<'c, P, A> {
+        loop {
+            // Phase 1: hand buffered notes to the bin and publish this
+            // shard's clock; worker 0 publishes the global and
+            // bucket-boundary clocks.
+            if !wk.lane.notes.is_empty() {
+                let mut bin = self.bins[wk.w].lock().expect("bin lock");
+                bin.notes.append(&mut wk.lane.notes);
+            }
+            let t_own = wk
+                .heap
+                .peek()
+                .map_or(u64::MAX, |Reverse(e)| e.at.as_nanos());
+            self.next_pub[wk.w].store(t_own, SeqCst);
+            if wk.w == 0 {
+                let g = self.shared.read().expect("shared read");
+                let tg = g
+                    .control
+                    .gevents
+                    .peek()
+                    .map_or(u64::MAX, |Reverse(e)| e.at.as_nanos());
+                self.tg_pub.store(tg, SeqCst);
+                self.tb_pub
+                    .store(g.telemetry.next_boundary().as_nanos(), SeqCst);
+            }
+            self.barrier.wait();
+            // Phase 2: the earliest clock picks the epoch's kind.
+            let t_node = self
+                .next_pub
+                .iter()
+                .map(|a| a.load(SeqCst))
+                .min()
+                .expect("k >= 1");
+            let tg = self.tg_pub.load(SeqCst);
+            let tb = self.tb_pub.load(SeqCst);
+            let t_next = t_node.min(tg);
+            if t_next == u64::MAX || t_next > self.deadline_ns {
+                return wk;
+            }
+            if wk.w == 0 && self.shard_of.is_some() {
+                wk.lane.stats.shard_epochs += 1;
+            }
+            if tb <= t_next {
+                self.close_epoch_buckets(&mut wk, t_next);
+            } else if tg <= t_node {
+                self.run_global_epoch(&mut wk);
+            } else {
+                // Everything a window event can emit lands either back
+                // on this heap (own-node timers/dequeues, same-shard
+                // arrivals, possibly still inside the window) or at
+                // `t + cross-shard prop ≥ horizon` in a mailbox.
+                let horizon = t_node
+                    .saturating_add(self.lookahead)
+                    .min(tg)
+                    .min(tb)
+                    .min(self.deadline_ns.saturating_add(1));
+                self.run_window(&mut wk, horizon, t_own);
+            }
+        }
+    }
+
+    /// Bucket boundary at `t_next`: every worker contributes its probes
+    /// and a cumulative stats snapshot, then worker 0 replays the notes
+    /// and closes the buckets before anything at `t_next` executes.
+    fn close_epoch_buckets<A>(&self, wk: &mut Worker<P, A>, t_next: u64) {
+        {
+            let g = self.shared.read().expect("shared read");
+            let mut bin = self.bins[wk.w].lock().expect("bin lock");
+            bin.stats = wk.lane.stats;
+            probe_ports(g.topo, wk.cells, &mut bin.probes);
+        }
+        self.barrier.wait();
+        if wk.w == 0 {
+            let mut g = self.shared.write().expect("shared write");
+            let sh = &mut *g;
+            replay_notes(sh.telemetry, &self.bins);
+            let mut probes = Vec::new();
+            let mut total = sh.control.stats;
+            for bin in &self.bins {
+                let mut b = bin.lock().expect("bin lock");
+                probes.append(&mut b.probes);
+                total.absorb(&b.stats);
+            }
+            close_buckets(
+                sh.telemetry,
+                SimTime::from_nanos(t_next),
+                &total,
+                &mut probes,
+            );
+        }
+    }
+
+    /// Global event: worker 0 replays the notes written before it and
+    /// executes its shared part; every worker then applies the per-node
+    /// ops to its own cells.
+    fn run_global_epoch<A>(&self, wk: &mut Worker<P, A>) {
+        if wk.w == 0 {
+            let mut g = self.shared.write().expect("shared write");
+            let sh = &mut *g;
+            replay_notes(sh.telemetry, &self.bins);
+            sh.ops_key = run_global(sh.topo, sh.control, sh.telemetry, self.config, &mut sh.ops);
+        }
+        self.barrier.wait();
+        let g = self.shared.read().expect("shared read");
+        let base = wk.slot_base;
+        let local = |node: NodeId| (self.cell_of[node.0 as usize] as usize).wrapping_sub(base);
+        for op in &g.ops {
+            // A node outside this worker's slice belongs to another
+            // shard, which applies the op itself.
+            match *op {
+                LocalOp::Flush(node, p) => {
+                    if let Some(cell) = wk.cells.get_mut(local(node)) {
+                        wk.lane.stats.lost_to_fault += cell.queues[p as usize].flush() as u64;
                     }
                 }
-                lane.stats.events += processed;
-                (heap, lane, processed, last_at)
-            }));
+                LocalOp::Kick(node, p) => {
+                    if let Some(cell) = wk.cells.get_mut(local(node)) {
+                        cell.kick(p, g.ops_key, &mut wk.lane.out);
+                    }
+                }
+                LocalOp::ClearMemos => wk.cells.iter_mut().for_each(|c| c.memo.clear()),
+            }
         }
-        for h in handles {
-            results.push(h.join().expect("shard worker panicked"));
-        }
-    });
+        // Kicks only emit this shard's own events.
+        wk.heap.extend(wk.lane.out.drain(..).map(Reverse));
+    }
 
-    // Reassemble: merge heaps and lanes back into the simulator, flush
-    // any notes buffered since the last synchronisation point, and
-    // advance the clock to the last executed event.
-    let mut node_processed = 0u64;
-    let mut max_at = entry_now.as_nanos();
-    let mut leftover: Vec<(SimTime, u32, u64, FabricEvent)> = Vec::new();
-    for (heap, mut wl, p, la) in results {
-        sim.nevents.extend(heap);
-        leftover.append(&mut wl.notes);
-        sim.lane.stats.absorb(&wl.stats);
-        node_processed += p;
-        max_at = max_at.max(la);
-    }
-    let sh = shared.into_inner().expect("shared poisoned");
-    let (g_processed, g_last_at) = (sh.g_processed, sh.g_last_at);
-    drop(sh);
-    for bin in &bins {
-        leftover.append(&mut bin.lock().expect("bin lock").notes);
-    }
-    if tele_on {
-        leftover.sort_by_key(|&(at, rank, seq, _)| (at, rank, seq));
-        for (at, _, _, fe) in leftover {
-            sim.telemetry.record(at, fe);
+    /// Window: run this shard's events strictly below `horizon`, then
+    /// collect what the neighbours mailed. Pops first and pushes back
+    /// the one event past the horizon: one heap access per event.
+    fn run_window<A: Agent<P>>(&self, wk: &mut Worker<P, A>, horizon: u64, t_own: u64) {
+        let mut did = 0u64;
+        {
+            let g = self.shared.read().expect("shared read");
+            let env = Env {
+                topo: &*g.topo,
+                config: self.config,
+                control: &*g.control,
+                tele_on: self.tele_on,
+            };
+            while let Some(Reverse(ev)) = wk.heap.pop() {
+                let at = ev.at.as_nanos();
+                if at >= horizon {
+                    wk.heap.push(Reverse(ev));
+                    break;
+                }
+                wk.last_at = at;
+                let target = target_of(&ev.kind, env.topo);
+                let slot = self.cell_of[target.0 as usize] as usize - wk.slot_base;
+                dispatch_node(&env, &mut wk.cells[slot], &mut wk.lane, ev.key(), ev.kind);
+                while let Some(oe) = wk.lane.out.pop() {
+                    let os = self.shard_of.map_or(wk.w, |s| {
+                        s[target_of(&oe.kind, env.topo).0 as usize] as usize
+                    });
+                    if os == wk.w {
+                        wk.heap.push(Reverse(oe));
+                    } else {
+                        wk.lane.stats.cross_shard_packets += 1;
+                        self.mailboxes[os][wk.w].lock().expect("mailbox").push(oe);
+                    }
+                }
+                did += 1;
+            }
+        }
+        if did == 0 && t_own != u64::MAX {
+            // Had work, but the horizon closed before any of it: the
+            // conservative window held this shard back a full epoch.
+            wk.lane.stats.horizon_stalls += 1;
+        }
+        wk.lane.stats.events += did;
+        self.barrier.wait();
+        for slot in &self.mailboxes[wk.w] {
+            wk.heap
+                .extend(slot.lock().expect("mailbox").drain(..).map(Reverse));
         }
     }
-    sim.control.stats.events += g_processed;
-    sim.now = SimTime::from_nanos(max_at.max(g_last_at));
-    sim.retire_completions(deadline);
-    node_processed + g_processed
 }

@@ -10,7 +10,7 @@
 //! sequence counter, so the order is a pure function of the simulated
 //! causality — not of the order the implementation happened to push
 //! events — and a sharded run (see [`crate::shard`]) reproduces the
-//! serial schedule byte for byte.
+//! one-shard schedule byte for byte.
 //!
 //! Hosts hand packets to their NIC queue; switches forward within the
 //! packet's routing layer (assigned per flow, see
@@ -31,10 +31,10 @@
 //! Internally the simulator keeps two heaps: the node heap (arrivals,
 //! dequeues, timers — everything a single node authors and a single
 //! node consumes) and the much smaller global heap (faults and
-//! reroutes, which mutate fabric-wide state). The serial hot loop pops
-//! the node heap once per event and only compares against an O(1) peek
-//! of the global head; the sharded runner gives every shard its own
-//! node heap and executes the global heap at synchronisation barriers.
+//! reroutes, which mutate fabric-wide state), owned by `Control`.
+//! The one event-loop driver (see [`crate::shard`]) gives every shard
+//! its own node heap — one shard by default — and executes the global
+//! heap at synchronisation points between windows of node events.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
@@ -91,11 +91,6 @@ impl<P> Ctx<P> {
         &self.sends
     }
 
-    /// Timers queued so far (test inspection).
-    pub fn queued_timers(&self) -> &[(SimTime, u64)] {
-        &self.timers
-    }
-
     /// Transmit a packet from this host (enters the NIC queue).
     pub fn send(&mut self, pkt: Packet<P>) {
         self.sends.push(pkt);
@@ -149,10 +144,11 @@ pub struct SimConfig {
     /// available core. Results are byte-identical at every setting —
     /// a throughput knob only, so determinism per seed is unaffected.
     pub parallelism: usize,
-    /// Event-loop shards (see [`crate::shard`]): 1 = the serial loop
-    /// (the default), 0 = one shard per available core, `n` = partition
-    /// the fabric into up to `n` switch-group shards and run them on
-    /// scoped threads under conservative time-window synchronisation.
+    /// Event-loop shards (see [`crate::shard`]): 1 = one shard run
+    /// inline on the calling thread (the default), 0 = one shard per
+    /// available core, `n` = partition the fabric into up to `n`
+    /// switch-group shards and run them on scoped threads under
+    /// conservative time-window synchronisation.
     /// Results are byte-identical per seed at every setting — like
     /// [`SimConfig::parallelism`], a throughput knob, never a behaviour
     /// knob.
@@ -291,8 +287,8 @@ pub(crate) const GLOBAL_RANK: u32 = 0;
 /// the *author* (0 = the global control plane, `n + 1` = node `n`) and
 /// `seq` is the author's private counter. The key is a pure function
 /// of simulated causality: node `n` authors the same events with the
-/// same counters whether it runs on the serial loop or on any shard,
-/// so serial and sharded schedules are identical. Since `(rank, seq)`
+/// same counters whichever shard runs it, at any shard count, so every
+/// shard count yields the same schedule. Since `(rank, seq)`
 /// never repeats, the order is total — no tie ever falls through to
 /// implementation-defined push order.
 #[derive(Debug)]
@@ -387,45 +383,67 @@ pub struct FabricStats {
     /// one move per (switch, flow, destination) per convergence window.
     pub layer_reassignments: u64,
     /// Synchronisation epochs executed by the sharded event loop (0 in
-    /// a serial run). Shard-machinery counter: it varies with the shard
+    /// a one-shard run). Shard-machinery counter: it varies with the shard
     /// count by construction — compare runs across shard counts with
     /// [`FabricStats::shard_invariant`].
     pub shard_epochs: u64,
     /// Packets handed between shards through the per-epoch mailboxes
-    /// (0 in a serial run; shard-machinery counter, see
+    /// (0 in a one-shard run; shard-machinery counter, see
     /// [`FabricStats::shard_invariant`]).
     pub cross_shard_packets: u64,
     /// Epochs in which a shard's window closed before it could execute
     /// a single local event — the conservative horizon held it back (0
-    /// in a serial run; shard-machinery counter, see
+    /// in a one-shard run; shard-machinery counter, see
     /// [`FabricStats::shard_invariant`]).
     pub horizon_stalls: u64,
 }
 
 impl FabricStats {
     /// Accumulate another counter set into this one (all fields are
-    /// additive; used to merge per-shard lanes into run totals).
+    /// additive; used to merge worker lanes into run totals). The
+    /// destructure is exhaustive, so a new counter that is not summed
+    /// here does not compile.
     pub(crate) fn absorb(&mut self, other: &FabricStats) {
-        self.delivered += other.delivered;
-        self.dropped += other.dropped;
-        self.trimmed += other.trimmed;
-        self.events += other.events;
-        self.lost_to_fault += other.lost_to_fault;
-        self.reroutes += other.reroutes;
-        self.reroutes_incremental += other.reroutes_incremental;
-        self.route_dests_rebuilt += other.route_dests_rebuilt;
-        self.trees_repaired += other.trees_repaired;
-        self.flaps_coalesced += other.flaps_coalesced;
-        self.restores_incremental += other.restores_incremental;
+        let FabricStats {
+            delivered,
+            dropped,
+            trimmed,
+            events,
+            lost_to_fault,
+            reroutes,
+            reroutes_incremental,
+            route_dests_rebuilt,
+            trees_repaired,
+            flaps_coalesced,
+            restores_incremental,
+            layer_forwarded,
+            layer_trimmed,
+            layer_dropped,
+            layer_reassignments,
+            shard_epochs,
+            cross_shard_packets,
+            horizon_stalls,
+        } = *other;
+        self.delivered += delivered;
+        self.dropped += dropped;
+        self.trimmed += trimmed;
+        self.events += events;
+        self.lost_to_fault += lost_to_fault;
+        self.reroutes += reroutes;
+        self.reroutes_incremental += reroutes_incremental;
+        self.route_dests_rebuilt += route_dests_rebuilt;
+        self.trees_repaired += trees_repaired;
+        self.flaps_coalesced += flaps_coalesced;
+        self.restores_incremental += restores_incremental;
         for i in 0..RoutingPolicy::MAX_LAYERS {
-            self.layer_forwarded[i] += other.layer_forwarded[i];
-            self.layer_trimmed[i] += other.layer_trimmed[i];
-            self.layer_dropped[i] += other.layer_dropped[i];
+            self.layer_forwarded[i] += layer_forwarded[i];
+            self.layer_trimmed[i] += layer_trimmed[i];
+            self.layer_dropped[i] += layer_dropped[i];
         }
-        self.layer_reassignments += other.layer_reassignments;
-        self.shard_epochs += other.shard_epochs;
-        self.cross_shard_packets += other.cross_shard_packets;
-        self.horizon_stalls += other.horizon_stalls;
+        self.layer_reassignments += layer_reassignments;
+        self.shard_epochs += shard_epochs;
+        self.cross_shard_packets += cross_shard_packets;
+        self.horizon_stalls += horizon_stalls;
     }
 
     /// These counters with the shard-machinery fields
@@ -658,9 +676,10 @@ impl<P: SimPayload, A> NodeCell<P, A> {
 }
 
 /// Fabric-global mutable state: the fault mask, route/reroute
-/// bookkeeping, multicast groups, and the control plane's own stats
-/// and event counter. Only the serial loop or shard worker 0 (under a
-/// write lock, at a barrier) mutates it; node dispatch reads it.
+/// bookkeeping, multicast groups, the global-event heap, and the
+/// control plane's own stats and event counter. Only shard worker 0
+/// (under a write lock, at a barrier) mutates it during a run; node
+/// dispatch reads it.
 pub(crate) struct Control {
     /// Live fault state (dead links/switches). Routing tables lag it by
     /// the configured control-plane convergence delay.
@@ -683,22 +702,41 @@ pub(crate) struct Control {
     /// own processed events); node-context counters accumulate in
     /// [`Lane::stats`] and the two merge in [`Simulator::stats`].
     pub(crate) stats: FabricStats,
+    /// The global-event heap (faults, reroutes).
+    pub(crate) gevents: BinaryHeap<Reverse<Ev<GlobalEvent>>>,
     /// The global author's private event counter (rank 0 events).
-    pub(crate) gseq: u64,
+    gseq: u64,
 }
+
+impl Control {
+    /// Push a global event (rank 0, the control plane's counter).
+    fn schedule(&mut self, at: SimTime, kind: GlobalEvent) {
+        let seq = self.gseq;
+        self.gseq += 1;
+        self.gevents.push(Reverse(Ev {
+            at,
+            rank: GLOBAL_RANK,
+            seq,
+            kind,
+        }));
+    }
+}
+
+/// A telemetry event emitted during node dispatch, keyed by the event
+/// that wrote it.
+pub(crate) type Note = (EvKey, FabricEvent);
 
 /// Per-execution-lane scratch: the stats a lane's node dispatch
 /// accumulates, the events it emits (routed to heaps or mailboxes by
-/// the driver), and the telemetry notes it buffers. The serial loop
-/// owns one persistent lane; each shard worker gets a fresh one that
-/// merges into it at run end.
+/// the driver), and the telemetry notes it buffers. Shard worker 0
+/// carries the simulator's persistent lane through a run; the other
+/// workers get fresh ones that merge into it at run end.
 pub(crate) struct Lane<P> {
     pub(crate) stats: FabricStats,
     pub(crate) out: Vec<Ev<NodeEvent<P>>>,
-    /// Telemetry events emitted during node dispatch, keyed by the
-    /// authoring event so a sharded run can replay them to the sink in
-    /// exact serial order at synchronisation points.
-    pub(crate) notes: Vec<(SimTime, u32, u64, FabricEvent)>,
+    /// Telemetry notes, replayed to the sink in key order at
+    /// synchronisation points.
+    pub(crate) notes: Vec<Note>,
 }
 
 impl<P> Default for Lane<P> {
@@ -725,7 +763,7 @@ pub(crate) struct Env<'a> {
 /// fault/reroute (mask, tables, telemetry annotations) applies once;
 /// these ops touch individual cells and are applied by whichever
 /// execution lane owns the cell, in list order — so per-node effect
-/// order is identical in serial and sharded runs.
+/// order is identical at every shard count.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum LocalOp {
     /// Drop everything queued on the port, accounting to
@@ -753,7 +791,7 @@ pub struct Simulator<P: SimPayload, A: Agent<P>, T: TelemetrySink = NoTelemetry>
     pub(crate) topo: Topology,
     pub(crate) config: SimConfig,
     /// Shard partition, present iff the resolved shard count exceeds 1
-    /// on this topology; `None` runs the serial loop.
+    /// on this topology; `None` runs one shard inline.
     pub(crate) plan: Option<ShardPlan>,
     /// One cell per node, stored grouped by shard (identity order when
     /// unsharded); [`Simulator::cell_of`] maps node id → slot.
@@ -761,11 +799,9 @@ pub struct Simulator<P: SimPayload, A: Agent<P>, T: TelemetrySink = NoTelemetry>
     pub(crate) cell_of: Vec<u32>,
     /// The node-event heap (all shards' events between runs).
     pub(crate) nevents: BinaryHeap<Reverse<Ev<NodeEvent<P>>>>,
-    /// The global-event heap (faults, reroutes).
-    pub(crate) gevents: BinaryHeap<Reverse<Ev<GlobalEvent>>>,
     pub(crate) control: Control,
-    /// The serial loop's lane; sharded workers merge their lanes into
-    /// it at run end, so its stats accumulate across both modes.
+    /// The node-context counters, cumulative across runs (worker lanes
+    /// merge into it at run end).
     pub(crate) lane: Lane<P>,
     pub(crate) now: SimTime,
     /// Telemetry sink (default: the zero-cost [`NoTelemetry`]).
@@ -836,7 +872,6 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
             cells,
             cell_of,
             nevents: BinaryHeap::new(),
-            gevents: BinaryHeap::new(),
             control: Control {
                 mask: FaultMask::new(),
                 reroute_pending: false,
@@ -845,6 +880,7 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                 groups: BTreeMap::new(),
                 next_group: 0,
                 stats: FabricStats::default(),
+                gevents: BinaryHeap::new(),
                 gseq: 0,
             },
             lane: Lane::default(),
@@ -870,19 +906,6 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         self.nevents.push(Reverse(Ev {
             at,
             rank: node.0 + 1,
-            seq,
-            kind,
-        }));
-    }
-
-    /// Push a global event (rank 0, the control plane's counter).
-    fn push_global_event(&mut self, at: SimTime, kind: GlobalEvent) {
-        debug_assert!(at >= self.now, "scheduling into the past");
-        let seq = self.control.gseq;
-        self.control.gseq += 1;
-        self.gevents.push(Reverse(Ev {
-            at,
-            rank: GLOBAL_RANK,
             seq,
             kind,
         }));
@@ -925,7 +948,9 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         if !self.telemetry.enabled() {
             return;
         }
-        let probes = self.collect_port_probes();
+        let mut probes = Vec::new();
+        probe_ports(&self.topo, &self.cells, &mut probes);
+        probes.sort_by_key(|p| (p.node, p.port));
         let (now, stats) = (self.now, self.stats());
         self.telemetry.finish(now, &stats, &probes);
     }
@@ -937,43 +962,6 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
     pub fn note_anomaly(&mut self, kind: AnomalyKind) {
         let now = self.now;
         self.telemetry.record(now, FabricEvent::Anomaly(kind));
-    }
-
-    /// Snapshot every switch port's depth and cumulative counters, in
-    /// deterministic (node, port) order. Only called at bucket
-    /// boundaries and at [`Simulator::finish_telemetry`].
-    fn collect_port_probes(&self) -> Vec<PortProbe> {
-        let mut probes = Vec::new();
-        for n in 0..self.topo.node_count() {
-            let node = NodeId(n as u32);
-            if self.topo.kind(node) != NodeKind::Switch {
-                continue;
-            }
-            for (p, q) in self.cell(node).queues.iter().enumerate() {
-                probes.push(PortProbe {
-                    node: n as u32,
-                    port: p as u16,
-                    depth: q.len() as u32,
-                    queue: q.stats(),
-                });
-            }
-        }
-        probes
-    }
-
-    /// Catch the sink up to `upto`: close every bucket whose boundary
-    /// the event loop is about to cross. Counters only change at
-    /// events, so closing lazily here is exactly equivalent to an eager
-    /// probe at each boundary — without polluting the event heap (which
-    /// would perturb sequence numbers and break per-seed byte
-    /// identity).
-    #[cold]
-    fn close_telemetry_buckets(&mut self, upto: SimTime) {
-        while upto >= self.telemetry.next_boundary() {
-            let probes = self.collect_port_probes();
-            let stats = self.stats();
-            self.telemetry.close_bucket(&stats, &probes);
-        }
     }
 
     /// Queue statistics of one port.
@@ -1077,13 +1065,8 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
                 ev.at,
                 self.now
             );
-            self.push_global_event(ev.at, GlobalEvent::Fault(ev.action));
+            self.control.schedule(ev.at, GlobalEvent::Fault(ev.action));
         }
-    }
-
-    /// The live fault mask (what is currently failed).
-    pub fn fault_mask(&self) -> &FaultMask {
-        &self.control.mask
     }
 
     /// Schedule a timer for a host agent (used by workloads to start
@@ -1095,20 +1078,17 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
     /// Run until the event queue drains or `deadline` passes. Returns the
     /// number of events processed.
     ///
-    /// With a resolved shard count above 1 (see [`SimConfig::shards`])
-    /// the run executes on the sharded event loop — byte-identical
-    /// results, parallel wall clock.
+    /// Runs on the event-loop driver (see [`crate::shard`]): inline on
+    /// the calling thread with one shard, on one scoped thread per
+    /// shard above that (see [`SimConfig::shards`]) — byte-identical
+    /// results either way.
     pub fn run_until(&mut self, deadline: SimTime) -> u64
     where
         P: Send,
         A: Send,
         T: Send + Sync,
     {
-        if self.plan.is_some() {
-            crate::shard::run_sharded(self, deadline)
-        } else {
-            self.run_serial(deadline)
-        }
+        crate::shard::run(self, deadline)
     }
 
     /// Run until no events remain (workloads bound their own horizon via
@@ -1120,91 +1100,6 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
         T: Send + Sync,
     {
         self.run_until(SimTime::MAX)
-    }
-
-    /// The serial event loop. The hot path is one `pop` per node event
-    /// (no peek-then-pop double heap access); the rare global head is
-    /// an O(1) peek compared against the popped key, and loses ties by
-    /// rank only when it is genuinely later.
-    fn run_serial(&mut self, deadline: SimTime) -> u64 {
-        let tele_on = self.telemetry.enabled();
-        let mut node_processed = 0u64;
-        let mut global_processed = 0u64;
-        loop {
-            let next_node = self.nevents.pop();
-            let gkey = self.gevents.peek().map(|Reverse(g)| g.key());
-            let take_global = match (&next_node, gkey) {
-                (Some(Reverse(n)), Some(gk)) => gk < n.key(),
-                (None, Some(_)) => true,
-                (_, None) => false,
-            };
-            if take_global {
-                if let Some(ev) = next_node {
-                    self.nevents.push(ev);
-                }
-                let Reverse(gev) = self.gevents.pop().expect("peeked");
-                if gev.at > deadline {
-                    self.gevents.push(Reverse(gev));
-                    break;
-                }
-                // Telemetry bucket boundaries are honoured lazily: an
-                // event at or past the open bucket's end closes it
-                // first, so a bucket never includes later activity. One
-                // always-false comparison when telemetry is off
-                // (`next_boundary` is MAX).
-                if gev.at >= self.telemetry.next_boundary() {
-                    self.close_telemetry_buckets(gev.at);
-                }
-                self.now = gev.at;
-                self.apply_global(gev);
-                global_processed += 1;
-            } else {
-                let Some(Reverse(ev)) = next_node else {
-                    break;
-                };
-                if ev.at > deadline {
-                    self.nevents.push(Reverse(ev));
-                    break;
-                }
-                if ev.at >= self.telemetry.next_boundary() {
-                    self.close_telemetry_buckets(ev.at);
-                }
-                self.now = ev.at;
-                let target = target_of(&ev.kind, &self.topo);
-                let slot = self.cell_of[target.0 as usize] as usize;
-                let env = Env {
-                    topo: &self.topo,
-                    config: &self.config,
-                    control: &self.control,
-                    tele_on,
-                };
-                dispatch_node(
-                    &env,
-                    &mut self.cells[slot],
-                    &mut self.lane,
-                    ev.key(),
-                    ev.kind,
-                );
-                self.push_lane_out();
-                if tele_on {
-                    for (nat, _, _, fe) in self.lane.notes.drain(..) {
-                        self.telemetry.record(nat, fe);
-                    }
-                }
-                node_processed += 1;
-            }
-        }
-        self.retire_completions(deadline);
-        self.lane.stats.events += node_processed;
-        self.control.stats.events += global_processed;
-        node_processed + global_processed
-    }
-
-    /// Move the serial lane's emitted events onto the node heap.
-    fn push_lane_out(&mut self) {
-        while let Some(oe) = self.lane.out.pop() {
-            self.nevents.push(Reverse(oe));
-        }
     }
 
     /// End of a `run_until` slice: every recorded transmit completion
@@ -1221,71 +1116,54 @@ impl<P: SimPayload, A: Agent<P>, T: TelemetrySink> Simulator<P, A, T> {
             }
         }
         if last >= self.telemetry.next_boundary() {
-            self.close_telemetry_buckets(last);
+            let mut probes = Vec::new();
+            probe_ports(&self.topo, &self.cells, &mut probes);
+            let stats = self.stats();
+            close_buckets(&mut self.telemetry, last, &stats, &mut probes);
         }
         self.now = last;
     }
+}
 
-    /// Execute one global event: apply the shared part (mask, tables,
-    /// telemetry, control stats), then the per-node ops in list order.
-    fn apply_global(&mut self, gev: Ev<GlobalEvent>) {
-        let (key, at) = (gev.key(), gev.at);
-        let mut ops = Vec::new();
-        match gev.kind {
-            GlobalEvent::Fault(action) => {
-                // request_reroute needs to push onto the global heap:
-                // split the borrow by staging the push.
-                let mut reroute_at = None;
-                apply_fault_shared(
-                    &self.topo,
-                    &mut self.control,
-                    &mut self.telemetry,
-                    self.config.reroute_delay_ns,
-                    at,
-                    action,
-                    &mut ops,
-                    &mut reroute_at,
-                );
-                if let Some(t) = reroute_at {
-                    self.push_global_event(t, GlobalEvent::Reroute);
-                }
-            }
-            GlobalEvent::Reroute => {
-                self.control.reroute_pending = false;
-                reroute_shared(
-                    &mut self.topo,
-                    &mut self.control,
-                    &mut self.telemetry,
-                    at,
-                    &mut ops,
-                );
-            }
+/// Append every switch port's depth and cumulative counters over
+/// `cells`, in slot order. Runs only at bucket boundaries and at
+/// [`Simulator::finish_telemetry`].
+pub(crate) fn probe_ports<P: SimPayload, A>(
+    topo: &Topology,
+    cells: &[NodeCell<P, A>],
+    out: &mut Vec<PortProbe>,
+) {
+    for cell in cells {
+        if topo.kind(cell.node) != NodeKind::Switch {
+            continue;
         }
-        self.apply_local_ops(key, &ops);
+        for (p, q) in cell.queues.iter().enumerate() {
+            out.push(PortProbe {
+                node: cell.node.0,
+                port: p as u16,
+                depth: q.len() as u32,
+                queue: q.stats(),
+            });
+        }
     }
+}
 
-    /// Apply a global event's per-node ops on the serial loop (a shard
-    /// worker applies the same list filtered to its own cells).
-    fn apply_local_ops(&mut self, key: EvKey, ops: &[LocalOp]) {
-        for op in ops {
-            match *op {
-                LocalOp::Flush(n, p) => {
-                    let slot = self.cell_of[n.0 as usize] as usize;
-                    let lost = self.cells[slot].queues[p as usize].flush();
-                    self.lane.stats.lost_to_fault += lost as u64;
-                }
-                LocalOp::Kick(n, p) => {
-                    let slot = self.cell_of[n.0 as usize] as usize;
-                    self.cells[slot].kick(p, key, &mut self.lane.out);
-                }
-                LocalOp::ClearMemos => {
-                    for cell in &mut self.cells {
-                        cell.memo.clear();
-                    }
-                }
-            }
-        }
-        self.push_lane_out();
+/// Catch the sink up to `upto`: close every bucket whose boundary the
+/// event loop is about to cross, against `stats` and `probes` (sorted
+/// here into (node, port) order). Counters only change at events, so
+/// closing lazily is exactly equivalent to an eager probe at each
+/// boundary — without polluting the event heap (which would perturb
+/// sequence numbers and break per-seed byte identity).
+#[cold]
+pub(crate) fn close_buckets<T: TelemetrySink>(
+    telemetry: &mut T,
+    upto: SimTime,
+    stats: &FabricStats,
+    probes: &mut [PortProbe],
+) {
+    probes.sort_by_key(|p| (p.node, p.port));
+    while upto >= telemetry.next_boundary() {
+        telemetry.close_bucket(stats, probes);
     }
 }
 
@@ -1307,28 +1185,53 @@ fn link_key(topo: &Topology, node: NodeId, port: u16) -> FaultKey {
     FaultKey::Link(n, p)
 }
 
-/// Schedule a route recomputation after the configured control-plane
-/// convergence delay, unless one is already pending. Returns the fire
-/// time through `reroute_at` (the caller owns the global heap).
-fn request_reroute(
+/// Pop and execute the next global event's shared part (mask, tables,
+/// telemetry, control stats). Its per-node effects come back in `ops`,
+/// for the lanes owning those cells to apply in list order against
+/// the returned key.
+pub(crate) fn run_global<T: TelemetrySink>(
+    topo: &mut Topology,
     control: &mut Control,
-    reroute_delay_ns: u64,
-    now: SimTime,
-    reroute_at: &mut Option<SimTime>,
-) {
+    telemetry: &mut T,
+    config: &SimConfig,
+    ops: &mut Vec<LocalOp>,
+) -> EvKey {
+    let Reverse(gev) = control.gevents.pop().expect("a global event is due");
+    ops.clear();
+    control.stats.events += 1;
+    match gev.kind {
+        GlobalEvent::Fault(action) => apply_fault(
+            topo,
+            control,
+            telemetry,
+            config.reroute_delay_ns,
+            gev.at,
+            action,
+            ops,
+        ),
+        GlobalEvent::Reroute => {
+            control.reroute_pending = false;
+            reroute(topo, control, telemetry, gev.at, ops);
+        }
+    }
+    gev.key()
+}
+
+/// Schedule a route recomputation after the configured control-plane
+/// convergence delay, unless one is already pending.
+fn request_reroute(control: &mut Control, reroute_delay_ns: u64, now: SimTime) {
     if control.reroute_pending {
         return;
     }
     control.reroute_pending = true;
-    *reroute_at = Some(now + reroute_delay_ns);
+    control.schedule(now + reroute_delay_ns, GlobalEvent::Reroute);
 }
 
 /// The shared part of a fault event: telemetry annotation, fault mask,
 /// flap bookkeeping, rate overrides, and the deferred-reroute request.
 /// Per-node effects (queue flushes, transmit kicks) come back as
 /// [`LocalOp`]s in deterministic order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_fault_shared<T: TelemetrySink>(
+fn apply_fault<T: TelemetrySink>(
     topo: &Topology,
     control: &mut Control,
     telemetry: &mut T,
@@ -1336,7 +1239,6 @@ pub(crate) fn apply_fault_shared<T: TelemetrySink>(
     now: SimTime,
     action: FaultAction,
     ops: &mut Vec<LocalOp>,
-    reroute_at: &mut Option<SimTime>,
 ) {
     // Every mask change starts a new fault era: the layer memos cache
     // a pure function of (tables, mask), so they must be forgotten the
@@ -1354,7 +1256,7 @@ pub(crate) fn apply_fault_shared<T: TelemetrySink>(
             control.pending_down.insert(link_key(topo, node, port));
             ops.push(LocalOp::Flush(node, port));
             ops.push(LocalOp::Flush(back.peer, back.peer_port));
-            request_reroute(control, reroute_delay_ns, now, reroute_at);
+            request_reroute(control, reroute_delay_ns, now);
         }
         FaultAction::LinkUp { node, port } => {
             telemetry.record(now, FabricEvent::LinkUp { node: node.0, port });
@@ -1365,7 +1267,7 @@ pub(crate) fn apply_fault_shared<T: TelemetrySink>(
                 // pair cancels out of the pending reroute's delta.
                 control.stats.flaps_coalesced += 1;
             }
-            request_reroute(control, reroute_delay_ns, now, reroute_at);
+            request_reroute(control, reroute_delay_ns, now);
             ops.push(LocalOp::Kick(node, port));
             ops.push(LocalOp::Kick(back.peer, back.peer_port));
         }
@@ -1379,7 +1281,7 @@ pub(crate) fn apply_fault_shared<T: TelemetrySink>(
             for p in 0..topo.node_ports(switch).len() as u16 {
                 ops.push(LocalOp::Flush(switch, p));
             }
-            request_reroute(control, reroute_delay_ns, now, reroute_at);
+            request_reroute(control, reroute_delay_ns, now);
         }
         FaultAction::SwitchUp { switch } => {
             telemetry.record(now, FabricEvent::NodeUp { node: switch.0 });
@@ -1387,7 +1289,7 @@ pub(crate) fn apply_fault_shared<T: TelemetrySink>(
             if control.pending_down.remove(&FaultKey::Node(switch.0)) {
                 control.stats.flaps_coalesced += 1;
             }
-            request_reroute(control, reroute_delay_ns, now, reroute_at);
+            request_reroute(control, reroute_delay_ns, now);
             // Neighbours may have queued towards the repaired node
             // while it routed around (and a repaired host's own NIC
             // may have parked traffic); restart any idle ports.
@@ -1433,7 +1335,7 @@ pub(crate) fn apply_fault_shared<T: TelemetrySink>(
 /// and repair multicast trees (receivers a fault cut off are skipped
 /// until a later repair restores them). Dead-link flushes and memo
 /// clears come back as [`LocalOp`]s.
-pub(crate) fn reroute_shared<T: TelemetrySink>(
+fn reroute<T: TelemetrySink>(
     topo: &mut Topology,
     control: &mut Control,
     telemetry: &mut T,
@@ -1541,8 +1443,7 @@ fn build_tree(
 /// Dispatch one node event against its cell. Mutates exactly that cell
 /// (plus the lane scratch); reads only the shared [`Env`]. Every event
 /// it emits is authored by this cell (its rank and counter), so the
-/// emission is identical whether this runs on the serial loop or on a
-/// shard worker.
+/// emission is identical on whichever shard worker runs it.
 pub(crate) fn dispatch_node<P: SimPayload, A: Agent<P>>(
     env: &Env<'_>,
     cell: &mut NodeCell<P, A>,
@@ -1685,7 +1586,6 @@ fn forward<P: SimPayload, A: Agent<P>>(
     key: EvKey,
     mut pkt: Packet<Stamped<P>>,
 ) {
-    let (at, rank, seq) = key;
     let node = cell.node;
     match pkt.dst {
         Dest::Host(dst) => {
@@ -1725,9 +1625,7 @@ fn forward<P: SimPayload, A: Agent<P>>(
                                 lane.stats.layer_reassignments += 1;
                                 if env.tele_on {
                                     lane.notes.push((
-                                        at,
-                                        rank,
-                                        seq,
+                                        key,
                                         FabricEvent::LayerReassign {
                                             flow: pkt.flow.0,
                                             dst: dst.0,
@@ -1767,9 +1665,7 @@ fn forward<P: SimPayload, A: Agent<P>>(
                             cell.memo.insert(pkt.flow.0, dst.0, alt as u8);
                             if env.tele_on {
                                 lane.notes.push((
-                                    at,
-                                    rank,
-                                    seq,
+                                    key,
                                     FabricEvent::LayerReassign {
                                         flow: pkt.flow.0,
                                         dst: dst.0,
@@ -3107,6 +3003,65 @@ mod tests {
         assert_eq!(a, c, "Option sink vs compiled-out sink: identical");
     }
 
+    /// Bucket snapshots are cumulative across `run_until` slices at
+    /// every shard count: a run cut into slices records the same
+    /// buckets and annotations as the same run in one call.
+    #[test]
+    fn sliced_recording_matches_one_slice_at_every_shard_count() {
+        let record = |shards: usize, slice_ns: Option<u64>| {
+            let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+            let hosts = t.hosts().to_vec();
+            let (src, dst) = (hosts[0], hosts[15]);
+            let agg = t
+                .node_ports(t.edge_switch(src))
+                .iter()
+                .map(|p| p.peer)
+                .find(|&n| t.kind(n) == NodeKind::Switch)
+                .expect("edge switch has aggregation uplinks");
+            let mut cfg = SimConfig::ndp(9);
+            cfg.shards = shards;
+            let rec = Recorder::new(TelemetryConfig {
+                window_ns: 50_000,
+                ring_capacity: 8,
+            });
+            let mut sim: Simulator<P, Echo, Option<Recorder>> =
+                Simulator::with_telemetry(t, cfg, Some(rec));
+            for &h in &hosts {
+                sim.set_agent(
+                    h,
+                    Echo {
+                        to_send: vec![],
+                        received: vec![],
+                    },
+                );
+            }
+            for i in 0..40 {
+                sim.agent_mut(src).to_send.push(data_pkt(src, dst, i));
+            }
+            sim.schedule_timer(src, SimTime::ZERO, 0);
+            sim.schedule_faults(
+                &FaultPlan::new()
+                    .switch_down(SimTime::from_micros(100), agg)
+                    .switch_up(SimTime::from_micros(400), agg),
+            );
+            if let Some(step) = slice_ns {
+                for i in 1..20 {
+                    sim.run_until(SimTime::from_nanos(i * step));
+                }
+            }
+            sim.run_to_completion();
+            sim.finish_telemetry();
+            let stats = sim.stats().shard_invariant();
+            let rec = sim.telemetry_mut().take().expect("recorder installed");
+            (rec.buckets().to_vec(), rec.annotations().to_vec(), stats)
+        };
+        let whole = record(1, None);
+        assert!(whole.0.len() > 5, "the run spans several buckets");
+        for shards in [1usize, 2] {
+            assert_eq!(whole, record(shards, Some(37_000)), "shards={shards}");
+        }
+    }
+
     #[test]
     fn note_anomaly_freezes_dump_with_recent_history() {
         let rec = Recorder::new(TelemetryConfig {
@@ -3221,9 +3176,10 @@ mod tests {
         );
     }
 
-    /// `shards: 1` (and a shard request collapsing to one shard) keeps
-    /// the plain serial loop: no plan is built, and the run is the
-    /// byte-identical baseline every sharded count is compared against.
+    /// `shards: 1` (and a shard request collapsing to one shard) builds
+    /// no plan: the driver runs its one shard inline on the calling
+    /// thread, and that run is the byte-identical baseline every
+    /// sharded count is compared against.
     #[test]
     fn shard_count_one_is_the_serial_loop() {
         let mut cfg = SimConfig::ndp(7);

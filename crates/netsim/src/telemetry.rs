@@ -263,11 +263,6 @@ impl Bucket {
         self.end.since(self.start).max(1)
     }
 
-    /// Total trims in the bucket per second of sim time.
-    pub fn trim_rate(&self) -> f64 {
-        self.trimmed as f64 * 1e9 / self.width_ns() as f64
-    }
-
     /// Total queue depth (packets) across sampled ports at the closing
     /// edge.
     pub fn total_depth(&self) -> u64 {

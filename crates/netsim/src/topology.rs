@@ -1331,14 +1331,6 @@ impl Topology {
             })
             .collect()
     }
-
-    /// Partition this topology into up to `shards` event-loop shards
-    /// (see [`crate::shard::ShardPlan::build`]) — a convenience for
-    /// inspecting the partition a sharded [`crate::SimConfig`] would
-    /// run under.
-    pub fn shard_plan(&self, shards: usize) -> crate::shard::ShardPlan {
-        crate::shard::ShardPlan::build(self, shards)
-    }
 }
 
 /// Reusable scratch queues for [`compute_column`], so per-column

@@ -115,12 +115,6 @@ pub fn add(a: u8, b: u8) -> u8 {
     a ^ b
 }
 
-/// `α^i` for arbitrary exponent.
-#[inline]
-pub fn alpha_pow(i: usize) -> u8 {
-    EXP[i % 255]
-}
-
 /// XOR `src` into `dst` (symbol addition). Both slices must be the same
 /// length; this is an invariant of symbol storage, so it is asserted.
 #[inline]

@@ -322,10 +322,11 @@ pub struct RunOptions<C> {
     /// route tables are computed by pure per-column work — so this is
     /// purely a wall-clock knob for large fabrics.
     pub parallelism: usize,
-    /// Event-loop shards (0 = available cores, 1 = the serial loop,
-    /// the default). Like `parallelism`, byte-identical per seed at
-    /// every setting — the sharded loop replays the serial schedule —
-    /// so this too is purely a wall-clock knob.
+    /// Event-loop shards (0 = available cores, 1 = one shard run
+    /// inline on the calling thread, the default). Like `parallelism`,
+    /// byte-identical per seed at every setting — every shard count
+    /// replays the same event order — so this too is purely a
+    /// wall-clock knob.
     pub shards: usize,
 }
 

@@ -91,3 +91,67 @@ fn sharded_run_byte_identical_to_serial() {
         }
     }
 }
+
+/// Telemetry recorded at 1, 2 and 4 shards is identical: buckets close
+/// against the same counters and probes, and notes written during
+/// dispatch replay in the same order. Layered routing under churn makes
+/// switches re-assign flows, so `LayerReassign` notes are buffered and
+/// replayed alongside the fault and reroute annotations.
+#[test]
+fn sharded_telemetry_identical_to_one_shard() {
+    use polyraptor_repro::netsim::{FabricEvent, RoutingPolicy};
+    use polyraptor_repro::workload::TelemetryOptions;
+
+    let fabric = Fabric::small();
+    for seed in [2u64, 3] {
+        let mut sc = ChurnScenario::ten_event(6, 1 << 20, seed);
+        sc.fault_events = 12;
+        let record = |shards: usize| {
+            let opts = RqRunOptions {
+                shards,
+                policy: RoutingPolicy::layered(3, 7),
+                telemetry: TelemetryOptions::enabled_default(),
+                ..Default::default()
+            };
+            let t = run_churn(&sc, &fabric, &opts)
+                .run
+                .telemetry
+                .expect("enabled run records");
+            (
+                t.fabric_series_csv(),
+                t.port_series_csv(),
+                t.recorder.annotations().to_vec(),
+                format!("{:?}", t.recorder.dumps()),
+            )
+        };
+        let one = record(1);
+        let reassigns = one
+            .2
+            .iter()
+            .filter(|a| matches!(a.event, FabricEvent::LayerReassign { .. }))
+            .count();
+        assert!(
+            reassigns > 0,
+            "seed {seed}: no LayerReassign note to replay"
+        );
+        for shards in [2usize, 4] {
+            let sharded = record(shards);
+            assert_eq!(
+                one.0, sharded.0,
+                "seed {seed}: fabric series at {shards} shards"
+            );
+            assert_eq!(
+                one.1, sharded.1,
+                "seed {seed}: port series at {shards} shards"
+            );
+            assert_eq!(
+                one.2, sharded.2,
+                "seed {seed}: annotations at {shards} shards"
+            );
+            assert_eq!(
+                one.3, sharded.3,
+                "seed {seed}: flight dumps at {shards} shards"
+            );
+        }
+    }
+}
