@@ -21,7 +21,12 @@
 //! through the systematic zero-copy fast path and through the legacy
 //! solver path it replaces, and fails if the speedup drops below
 //! `--min-rq-ratio` (default 3; measured ~20x) — the codec tentpole's
-//! perf claim, held in CI.
+//! perf claim, held in CI. It also times systematic encoder construction
+//! for 256 KB and 4 MB objects and fails if the slower of the two drops
+//! below `--min-rq-encode-mbps` (default 300 MB/s) — the vectorized
+//! GF(256) kernels' claim. That gate binds only when a vector kernel is
+//! active (`rq::gf256::kernel()`); on a CPU without one the speeds are
+//! recorded and the verdict reads `skipped`.
 //!
 //! The parallel section measures full route recomputes and one-link
 //! repairs on the k=16 fat-tree (1 024 hosts) and the 5 000-host
@@ -338,6 +343,31 @@ struct RqBench {
     legacy_solver_ns: f64,
 }
 
+/// Systematic encoder construction speed, MB/s of source object.
+struct EncodeBench {
+    label: &'static str,
+    mbps: f64,
+}
+
+/// Time `rq::Encoder::new` over a `bytes`-long object at 1440-byte
+/// symbols: the median build, as MB of source per second.
+fn rq_encode(label: &'static str, bytes: usize, repeats: usize) -> EncodeBench {
+    let data: Vec<u8> = (0..bytes).map(|i| (i * 131 + 17) as u8).collect();
+    let build = || rq::Encoder::new(&data, 1440).expect("non-empty block");
+    std::hint::black_box(build());
+    let samples = (0..repeats)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(build());
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    EncodeBench {
+        label,
+        mbps: bytes as f64 / median(samples) * 1e3,
+    }
+}
+
 /// The systematic-codec fast-path gate: decode a lossless paper-scale
 /// block (4 MB at 1440-byte symbols, K = 2913) via the systematic
 /// zero-copy path and via the legacy construction *forced through the
@@ -610,6 +640,9 @@ fn main() {
     let min_rq_ratio: f64 = flag("--min-rq-ratio")
         .map(|v| v.parse().expect("--min-rq-ratio takes a number"))
         .unwrap_or(3.0);
+    let min_rq_encode_mbps: f64 = flag("--min-rq-encode-mbps")
+        .map(|v| v.parse().expect("--min-rq-encode-mbps takes a number"))
+        .unwrap_or(300.0);
     let min_par_ratio: f64 = flag("--min-par-ratio")
         .map(|v| v.parse().expect("--min-par-ratio takes a number"))
         .unwrap_or(1.5);
@@ -626,6 +659,11 @@ fn main() {
     let rep = repairs(&t, repeats);
     let tel = telemetry_overhead(&t, repeats);
     let rq_bench = rq_fast_path(repeats);
+    let encode_benches = [
+        rq_encode("256k", 256 << 10, repeats),
+        rq_encode("4m", 4 << 20, repeats),
+    ];
+    let rq_kernel = rq::gf256::kernel();
     // Parallel route computation on the fabrics the scatter exists for:
     // the paper-scale k=16 fat-tree and the 5 000-host Jellyfish.
     let par_threads = 4usize;
@@ -684,6 +722,15 @@ fn main() {
     // work leaking back into the lossless path.
     let rq_ratio = rq_bench.legacy_solver_ns / rq_bench.fast_ns;
     let rq_pass = rq_ratio >= min_rq_ratio;
+    // Encoder construction speed is the vector kernels' claim; the
+    // scalar fallback (a CPU without SSSE3/AVX2) runs at ~180 MB/s, so
+    // there the speeds are recorded and the gate is waived.
+    let encode_enforced = rq_kernel != rq::gf256::Kernel::Scalar;
+    let worst_encode_mbps = encode_benches
+        .iter()
+        .map(|b| b.mbps)
+        .fold(f64::INFINITY, f64::min);
+    let encode_pass = !encode_enforced || worst_encode_mbps >= min_rq_encode_mbps;
     // Telemetry-off event loop vs the compiled-out baseline: >= 1.0
     // means free; the 0.95 floor absorbs shared-runner noise while
     // still catching any real per-event cost sneaking into the sink.
@@ -709,7 +756,7 @@ fn main() {
         .map(ShardBench::ratio)
         .fold(f64::NEG_INFINITY, f64::max);
     let shard_pass = !shard_enforced || best_shard_ratio >= min_shard_ratio;
-    let pass = csr_pass && telemetry_pass && rq_pass && par_pass && shard_pass;
+    let pass = csr_pass && telemetry_pass && rq_pass && encode_pass && par_pass && shard_pass;
 
     let par_json = par_benches
         .iter()
@@ -751,6 +798,11 @@ fn main() {
         })
         .collect::<Vec<_>>()
         .join(", ");
+    let encode_json = encode_benches
+        .iter()
+        .map(|b| format!("\"encode_mbps_{}\": {:.1}", b.label, b.mbps))
+        .collect::<Vec<_>>()
+        .join(", ");
     let tables_json = table_benches
         .iter()
         .map(|b| {
@@ -775,7 +827,9 @@ fn main() {
          \"min_telemetry_ratio\": {min_telemetry_ratio}}},\n  \
          \"rq\": {{\"k\": {}, \"symbol_size\": {}, \
          \"systematic_noloss_ns\": {:.0}, \"legacy_solver_ns\": {:.0}, \
-         \"ratio_legacy_over_systematic\": {:.3}, \"min_rq_ratio\": {min_rq_ratio}}},\n  \
+         \"ratio_legacy_over_systematic\": {:.3}, \"min_rq_ratio\": {min_rq_ratio}, \
+         \"kernel\": \"{}\", {encode_json}, \"min_rq_encode_mbps\": {min_rq_encode_mbps}, \
+         \"encode_enforced\": {encode_enforced}}},\n  \
          \"parallel\": {{\"threads\": {par_threads}, \"cores\": {cores}, \
          \"min_par_ratio\": {min_par_ratio}, \"enforced\": {par_enforced}, \
          {par_json}}},\n  \
@@ -802,6 +856,7 @@ fn main() {
         rq_bench.fast_ns,
         rq_bench.legacy_solver_ns,
         rq_ratio,
+        rq_kernel.name(),
     );
     std::fs::write(&out, &json).expect("write BENCH_csr.json");
     print!("{json}");
@@ -826,6 +881,26 @@ fn main() {
         rq_bench.legacy_solver_ns / 1e6,
         rq_bench.k,
         if rq_pass { "pass" } else { "FAIL" },
+    );
+    for b in &encode_benches {
+        println!(
+            "rq systematic encoder build {}: {:.0} MB/s ({} kernel)",
+            b.label,
+            b.mbps,
+            rq_kernel.name(),
+        );
+    }
+    println!(
+        "rq encoder gate (floor {min_rq_encode_mbps} MB/s, worst {worst_encode_mbps:.0} MB/s) -> {}",
+        if !encode_enforced {
+            // The floor is the vector kernels' claim; without one the
+            // speeds above are recorded, the gate is waived.
+            "skipped: no vector GF(256) kernel on this CPU".to_string()
+        } else if encode_pass {
+            "pass".to_string()
+        } else {
+            "FAIL".to_string()
+        },
     );
     for b in &par_benches {
         println!(

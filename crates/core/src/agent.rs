@@ -19,15 +19,35 @@
 //! the 1 ms sweep interval.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
-use netsim::{Agent, Ctx, Dest, FlowId, FlowSpanEvent, NodeId, Packet, SimTime, SpanMark};
+use netsim::{
+    Agent, Ctx, Dest, FlowId, FlowSpanEvent, NodeId, Packet, SimTime, Simulator, SpanMark,
+    TelemetrySink,
+};
 
 use crate::config::PrConfig;
 use crate::metrics::SessionRecord;
+use crate::oracle::session_encoder;
 use crate::receiver::ReceiverSession;
 use crate::sender::SenderSession;
 use crate::session::{Initiator, SessionSpec};
 use crate::wire::{PrPayload, SessionId, CONTROL_BYTES};
+
+/// Install `spec` at every participant of `sim` and schedule its start
+/// timer everywhere (receivers need it to arm their keep-alive). Under
+/// the real oracle the session's encoder is built once, by
+/// [`session_encoder`], and every participant shares it.
+pub fn install_session<T: TelemetrySink>(
+    sim: &mut Simulator<PrPayload, PolyraptorAgent, T>,
+    spec: &SessionSpec,
+) {
+    let encoder = session_encoder(spec, sim.agent(spec.receivers[0]).config());
+    for &h in spec.senders.iter().chain(&spec.receivers) {
+        sim.agent_mut(h).install(spec.clone(), encoder.clone());
+        sim.schedule_timer(h, spec.start, start_token(spec.id));
+    }
+}
 
 /// Timer token kinds (high byte of the token).
 const KIND_START: u64 = 1;
@@ -211,19 +231,22 @@ impl PolyraptorAgent {
         }
     }
 
-    /// Install a session this host participates in. Call before
-    /// `spec.start`, and schedule [`start_token`] at `spec.start` on this
-    /// host (the workload helpers do both).
-    pub fn install(&mut self, spec: SessionSpec) {
+    /// Install a session this host participates in, with the session's
+    /// shared encoder (`None` under the counting oracle).
+    /// [`install_session`] calls this at every participant and schedules
+    /// each one's [`start_token`] at `spec.start`.
+    pub(crate) fn install(&mut self, spec: SessionSpec, encoder: Option<Arc<rq::Encoder>>) {
         spec.validate();
         if spec.sender_index(self.node).is_some() {
-            self.send_sessions
-                .insert(spec.id, SenderSession::new(spec, self.node, &self.cfg));
+            self.send_sessions.insert(
+                spec.id,
+                SenderSession::new(spec, self.node, &self.cfg, encoder),
+            );
         } else if spec.receiver_index(self.node).is_some() {
             self.active_recv += 1;
             self.recv_sessions.insert(
                 spec.id,
-                ReceiverSession::new(spec, self.node, &self.cfg, self.seed),
+                ReceiverSession::new(spec, self.node, &self.cfg, self.seed, encoder),
             );
         } else {
             panic!("host {} is not part of session {}", self.node.0, spec.id.0);
@@ -553,5 +576,62 @@ impl Agent<PrPayload> for PolyraptorAgent {
             }
             other => panic!("unknown timer kind {other}"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use netsim::{NodeKind, SimConfig, Topology};
+
+    use super::*;
+    use crate::oracle::{session_object, Oracle};
+
+    /// Under the real oracle, `install_session` builds a multi-source
+    /// session's encoder once: every sender and the receiver hold the
+    /// same one, and the receiver's decode still reproduces the session
+    /// object.
+    #[test]
+    fn multi_source_session_shares_one_encoder() {
+        // Three replicas and a client on one switch.
+        let mut topo = Topology::new();
+        let s = topo.add_node(NodeKind::Switch);
+        let hosts: Vec<_> = (0..4).map(|_| topo.add_node(NodeKind::Host)).collect();
+        for &h in &hosts {
+            topo.connect(h, s, 1_000_000_000, 10_000);
+        }
+        topo.compute_routes();
+        let cfg = PrConfig::real_oracle();
+        let mut sim = Simulator::new(topo, SimConfig::ndp(3));
+        for (i, &h) in hosts.iter().enumerate() {
+            sim.set_agent(h, PolyraptorAgent::new(h, cfg, i as u64));
+        }
+        let (client, replicas) = (hosts[0], hosts[1..].to_vec());
+        let sid = SessionId(5);
+        let len = 100_000;
+        let spec = SessionSpec::multi_source(sid, len, replicas.clone(), client, SimTime::ZERO);
+        install_session(&mut sim, &spec);
+
+        let Oracle::Real { encoder, .. } = sim.agent(client).recv_sessions[&sid].oracle() else {
+            panic!("the client runs the real oracle");
+        };
+        let shared = Arc::clone(encoder);
+        for &r in &replicas {
+            let held = sim.agent(r).send_sessions[&sid]
+                .encoder()
+                .expect("a real-oracle sender holds the session encoder");
+            assert!(Arc::ptr_eq(held, &shared), "replica {} built its own", r.0);
+        }
+        // Three senders, the receiver and this test hold the one encoder.
+        assert_eq!(Arc::strong_count(&shared), 5);
+
+        sim.run_to_completion();
+        assert_eq!(sim.agent(client).records.len(), 1, "the fetch completed");
+        let Oracle::Real { decoder, done, .. } = sim.agent(client).recv_sessions[&sid].oracle()
+        else {
+            unreachable!("the oracle kind never changes")
+        };
+        assert!(*done);
+        let decoded = decoder.try_decode().expect("the completed session decodes");
+        assert_eq!(decoded, session_object(sid, len));
     }
 }

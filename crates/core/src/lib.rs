@@ -19,14 +19,15 @@
 //!   + strided repair ESIs make every replica's symbols disjoint).
 //!
 //! The crate plugs into [`netsim`] through [`PolyraptorAgent`] (one per
-//! host). Sessions are described by [`SessionSpec`] and installed by the
-//! workload layer; completed transfers surface as [`SessionRecord`]s.
+//! host). Sessions are described by [`SessionSpec`] and installed at
+//! every participant by [`install_session`]; completed transfers surface
+//! as [`SessionRecord`]s.
 //!
 //! ## Example: unicast transfer over a 2-host fabric
 //!
 //! ```
 //! use netsim::{NodeKind, SimConfig, SimTime, Simulator, Topology};
-//! use polyraptor::{start_token, PolyraptorAgent, PrConfig, SessionId, SessionSpec};
+//! use polyraptor::{install_session, PolyraptorAgent, PrConfig, SessionId, SessionSpec};
 //!
 //! let mut topo = Topology::new();
 //! let a = topo.add_node(NodeKind::Host);
@@ -42,10 +43,7 @@
 //! sim.set_agent(b, PolyraptorAgent::new(b, cfg, 2));
 //!
 //! let spec = SessionSpec::unicast(SessionId(0), 64 * 1440, a, b, SimTime::ZERO);
-//! sim.agent_mut(a).install(spec.clone());
-//! sim.agent_mut(b).install(spec.clone());
-//! sim.schedule_timer(a, spec.start, start_token(spec.id));
-//! sim.schedule_timer(b, spec.start, start_token(spec.id));
+//! install_session(&mut sim, &spec);
 //!
 //! sim.run_to_completion();
 //! let rec = &sim.agent(b).records[0];
@@ -65,10 +63,10 @@ pub mod sender;
 pub mod session;
 pub mod wire;
 
-pub use agent::{host_fail_token, host_up_token, start_token, PolyraptorAgent};
+pub use agent::{host_fail_token, host_up_token, install_session, start_token, PolyraptorAgent};
 pub use config::{MulticastPull, OracleMode, PrConfig};
 pub use metrics::SessionRecord;
-pub use oracle::{required_overhead, session_object, Oracle};
+pub use oracle::{required_overhead, session_encoder, session_object, Oracle};
 pub use receiver::ReceiverSession;
 pub use rq::CodeMode;
 pub use sender::SenderSession;

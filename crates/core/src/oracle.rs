@@ -13,11 +13,18 @@
 //! * [`Oracle::Real`] runs the actual [`rq`] decoder over real bytes and
 //!   only reports completion when decoding genuinely succeeds. Tests use
 //!   it to validate the counting model.
+//!
+//! Under the real oracle every participant of a session shares the one
+//! encoder [`session_encoder`] builds: the senders emit its symbols and
+//! the receiver takes its code parameters and source bytes from it.
 
 use std::collections::HashSet;
+use std::sync::Arc;
 
-use rq::{CodeMode, Decoder, Encoder};
+use rq::{Decoder, Encoder};
 
+use crate::config::{OracleMode, PrConfig};
+use crate::session::SessionSpec;
 use crate::wire::SessionId;
 
 /// Deterministic per-session draw of the extra symbols needed beyond
@@ -55,8 +62,9 @@ pub enum Oracle {
     Real {
         /// The in-progress decoder.
         decoder: Decoder,
-        /// Expected plaintext, kept to verify correctness end-to-end.
-        expected: Vec<u8>,
+        /// The session's shared encoder; its source block is the
+        /// expected plaintext, checked on every successful decode.
+        encoder: Arc<Encoder>,
         /// Whether decode already succeeded.
         done: bool,
     },
@@ -73,16 +81,13 @@ impl Oracle {
         }
     }
 
-    /// Real oracle: builds the decoder for the canonical session object
-    /// (see [`session_object`]) under the given code construction mode —
-    /// it must match the sender's mode or decoding fails outright.
-    pub fn real(session: SessionId, data_len: usize, symbol_size: usize, mode: CodeMode) -> Self {
-        let data = session_object(session, data_len);
-        let enc =
-            Encoder::with_mode(&data, symbol_size, mode).expect("session object is non-empty");
+    /// Real oracle over the session's shared encoder (see
+    /// [`session_encoder`]): the decoder takes the encoder's code
+    /// parameters, and a decode must reproduce its source block.
+    pub fn real(encoder: Arc<Encoder>) -> Self {
         Oracle::Real {
-            decoder: Decoder::new(enc.params()),
-            expected: data,
+            decoder: Decoder::new(encoder.params()),
+            encoder,
             done: false,
         }
     }
@@ -107,7 +112,7 @@ impl Oracle {
             }
             Oracle::Real {
                 decoder,
-                expected,
+                encoder,
                 done,
             } => {
                 if *done {
@@ -117,7 +122,10 @@ impl Oracle {
                 decoder.push(esi, bytes);
                 if decoder.symbols_received() >= decoder.params().k {
                     if let Ok(data) = decoder.try_decode() {
-                        assert_eq!(&data, expected, "real oracle decoded wrong bytes");
+                        assert!(
+                            encoder.matches_source(&data),
+                            "real oracle decoded wrong bytes"
+                        );
                         *done = true;
                         return true;
                     }
@@ -166,8 +174,7 @@ impl Oracle {
 }
 
 /// The canonical (deterministic) object bytes for a session — what a
-/// "real" sender would read from storage. Both the real oracle and the
-/// real-mode sender generate the same bytes from the session id.
+/// "real" sender would read from storage, generated from the session id.
 pub fn session_object(session: SessionId, len: usize) -> Vec<u8> {
     let mut out = Vec::with_capacity(len);
     let mut state = u64::from(session.0) ^ 0xDA7A_B10C;
@@ -177,6 +184,23 @@ pub fn session_object(session: SessionId, len: usize) -> Vec<u8> {
     }
     out.truncate(len);
     out
+}
+
+/// The session's encoder under [`OracleMode::Real`] — `None` under the
+/// counting oracle, which moves no symbol bytes. This is the one place a
+/// session's encoder is built: it encodes [`session_object`] in
+/// `cfg.code_mode`, once per session, and every sender and the receiver
+/// share the result (see [`crate::install_session`]).
+pub fn session_encoder(spec: &SessionSpec, cfg: &PrConfig) -> Option<Arc<Encoder>> {
+    match cfg.oracle {
+        OracleMode::Counting => None,
+        OracleMode::Real => {
+            let data = session_object(spec.id, spec.data_len);
+            let enc = Encoder::with_mode(&data, cfg.symbol_size, cfg.code_mode)
+                .expect("session object is non-empty");
+            Some(Arc::new(enc))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -259,9 +283,9 @@ mod tests {
         let session = SessionId(77);
         let len = 10 * 512;
         let data = session_object(session, len);
-        let enc = Encoder::new(&data, 512).unwrap();
+        let enc = Arc::new(Encoder::new(&data, 512).unwrap());
         let k = enc.params().k as u32;
-        let mut o = Oracle::real(session, len, 512, CodeMode::Systematic);
+        let mut o = Oracle::real(Arc::clone(&enc));
         // Drop one source symbol, push the rest plus two repairs.
         let mut done = false;
         for esi in 1..k {

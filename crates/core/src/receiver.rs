@@ -14,6 +14,8 @@
 //! that sizes the keep-alive sweep's batched recovery re-pulls (see
 //! [`ReceiverSession::take_repull_batch`]).
 
+use std::sync::Arc;
+
 use netsim::{NodeId, SimTime};
 
 use crate::config::{OracleMode, PrConfig};
@@ -85,18 +87,26 @@ pub struct ReceiverSession {
 }
 
 impl ReceiverSession {
-    /// Build receiver state for `node`'s role in `spec`.
-    pub fn new(spec: SessionSpec, node: NodeId, cfg: &PrConfig, seed: u64) -> Self {
+    /// Build receiver state for `node`'s role in `spec`. `encoder` is
+    /// the session's shared encoder ([`crate::session_encoder`]):
+    /// required under [`OracleMode::Real`], `None` under the counting
+    /// oracle.
+    pub fn new(
+        spec: SessionSpec,
+        node: NodeId,
+        cfg: &PrConfig,
+        seed: u64,
+        encoder: Option<Arc<rq::Encoder>>,
+    ) -> Self {
         assert!(
             spec.receiver_index(node).is_some(),
             "node is not a receiver"
         );
         let k = cfg.k_for(spec.data_len);
-        let oracle = match cfg.oracle {
-            OracleMode::Counting => Oracle::counting(spec.id, k, seed),
-            OracleMode::Real => {
-                Oracle::real(spec.id, spec.data_len, cfg.symbol_size, cfg.code_mode)
-            }
+        let oracle = match (cfg.oracle, encoder) {
+            (OracleMode::Counting, None) => Oracle::counting(spec.id, k, seed),
+            (OracleMode::Real, Some(encoder)) => Oracle::real(encoder),
+            _ => panic!("a receiver carries the session encoder exactly under the real oracle"),
         };
         let n_senders = spec.senders.len();
         let share = cfg.per_sender_window(spec.data_len, n_senders);
@@ -143,6 +153,12 @@ impl ReceiverSession {
         self.count_arrival(sender_idx);
         self.note_esi(sender_idx, esi);
         self.oracle.add(esi, body)
+    }
+
+    /// The completion oracle.
+    #[cfg(test)]
+    pub(crate) fn oracle(&self) -> &Oracle {
+        &self.oracle
     }
 
     /// Record a trimmed header (no coding progress, but it advances the
@@ -407,7 +423,7 @@ mod tests {
 
     fn recv_session(k_bytes: usize) -> ReceiverSession {
         let spec = SessionSpec::unicast(SessionId(3), k_bytes, NodeId(1), NodeId(0), SimTime::ZERO);
-        ReceiverSession::new(spec, NodeId(0), &PrConfig::paper_default(), 42)
+        ReceiverSession::new(spec, NodeId(0), &PrConfig::paper_default(), 42, None)
     }
 
     #[test]
@@ -446,7 +462,7 @@ mod tests {
             NodeId(0),
             SimTime::ZERO,
         );
-        let mut rs = ReceiverSession::new(spec, NodeId(0), &PrConfig::paper_default(), 1);
+        let mut rs = ReceiverSession::new(spec, NodeId(0), &PrConfig::paper_default(), 1, None);
         rs.on_symbol(0, 0, None, SimTime::ZERO);
         rs.on_symbol(1, 5, None, SimTime::ZERO);
         rs.on_symbol(1, 6, None, SimTime::ZERO);
@@ -463,7 +479,7 @@ mod tests {
             NodeId(0),
             SimTime::ZERO,
         );
-        let mut rs = ReceiverSession::new(spec, NodeId(0), &PrConfig::paper_default(), 1);
+        let mut rs = ReceiverSession::new(spec, NodeId(0), &PrConfig::paper_default(), 1, None);
         let t: Vec<u32> = (0..4).map(|_| rs.next_sweep_target().0).collect();
         assert_eq!(t, vec![1, 2, 3, 1]);
     }
@@ -548,7 +564,7 @@ mod tests {
             NodeId(0),
             SimTime::ZERO,
         );
-        let mut rs = ReceiverSession::new(spec, NodeId(0), &PrConfig::paper_default(), 1);
+        let mut rs = ReceiverSession::new(spec, NodeId(0), &PrConfig::paper_default(), 1, None);
         // Sender 1 (index 0) delivered its share (its first partition
         // symbols, in emission order); senders 2 and 3 lost everything.
         let share = PrConfig::paper_default().per_sender_window(64 * 1440, 3);
@@ -578,7 +594,7 @@ mod tests {
             NodeId(0),
             SimTime::ZERO,
         );
-        let mut rs = ReceiverSession::new(spec, NodeId(0), &cfg, 1);
+        let mut rs = ReceiverSession::new(spec, NodeId(0), &cfg, 1, None);
         assert_eq!(rs.state(), SessionState::Active);
         assert!(rs.mark_sender_stranded(NodeId(2)));
         assert!(!rs.mark_sender_stranded(NodeId(2)), "idempotent");
@@ -617,7 +633,7 @@ mod tests {
             NodeId(0),
             SimTime::ZERO,
         );
-        let mut rs = ReceiverSession::new(spec, NodeId(0), &PrConfig::paper_default(), 1);
+        let mut rs = ReceiverSession::new(spec, NodeId(0), &PrConfig::paper_default(), 1, None);
         assert!(rs.mark_sender_stranded(NodeId(1)));
         assert!(rs.mark_sender_stranded(NodeId(2)));
         assert!(rs.surviving_senders().is_empty());

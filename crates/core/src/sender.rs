@@ -19,10 +19,11 @@
 //! union of any senders' emissions is duplicate-free — each replica's
 //! stream is fully useful to the receiver.
 
+use std::sync::Arc;
+
 use netsim::{Ctx, Dest, FlowId, NodeId, Packet};
 
 use crate::config::{MulticastPull, OracleMode, PrConfig};
-use crate::oracle::session_object;
 use crate::session::SessionSpec;
 use crate::wire::{symbol_packet_bytes, PrPayload};
 
@@ -53,8 +54,8 @@ pub struct SenderSession {
     fins: Vec<bool>,
     detached: Vec<bool>,
     started: bool,
-    /// Real-mode encoder (None under the counting oracle).
-    encoder: Option<rq::Encoder>,
+    /// The session's shared encoder (None under the counting oracle).
+    encoder: Option<Arc<rq::Encoder>>,
     /// All receivers have FINed; the agent can drop this state.
     pub complete: bool,
     /// Symbols emitted (diagnostics).
@@ -62,24 +63,26 @@ pub struct SenderSession {
 }
 
 impl SenderSession {
-    /// Build sender state for `node`'s role in `spec`.
-    pub fn new(spec: SessionSpec, node: NodeId, cfg: &PrConfig) -> Self {
+    /// Build sender state for `node`'s role in `spec`. `encoder` is the
+    /// session's shared encoder ([`crate::session_encoder`]): required
+    /// under [`OracleMode::Real`], `None` under the counting oracle.
+    pub fn new(
+        spec: SessionSpec,
+        node: NodeId,
+        cfg: &PrConfig,
+        encoder: Option<Arc<rq::Encoder>>,
+    ) -> Self {
         let idx = spec
             .sender_index(node)
             .expect("node is not a sender of this session");
+        assert_eq!(
+            encoder.is_some(),
+            cfg.oracle == OracleMode::Real,
+            "a sender carries the session encoder exactly under the real oracle"
+        );
         let k = cfg.k_for(spec.data_len) as u32;
         let s = spec.senders.len();
         let (lo, hi) = crate::session::source_partition(k as usize, s, idx);
-        let encoder = match cfg.oracle {
-            OracleMode::Counting => None,
-            OracleMode::Real => {
-                let data = session_object(spec.id, spec.data_len);
-                Some(
-                    rq::Encoder::with_mode(&data, cfg.symbol_size, cfg.code_mode)
-                        .expect("non-empty session object"),
-                )
-            }
-        };
         let n_recv = spec.receivers.len();
         Self {
             sender_idx: idx as u8,
@@ -100,6 +103,12 @@ impl SenderSession {
             symbols_sent: 0,
             spec,
         }
+    }
+
+    /// The session's shared encoder (`None` under the counting oracle).
+    #[cfg(test)]
+    pub(crate) fn encoder(&self) -> Option<&Arc<rq::Encoder>> {
+        self.encoder.as_ref()
     }
 
     /// Allocate the next fresh ESI: remaining source partition first
@@ -408,7 +417,7 @@ mod tests {
             let spec = spec_multi(s);
             let mut covered = vec![false; k];
             for i in 1..=s as u32 {
-                let ss = SenderSession::new(spec.clone(), NodeId(i), &c);
+                let ss = SenderSession::new(spec.clone(), NodeId(i), &c, None);
                 for e in ss.next_src..ss.src_end {
                     assert!(!covered[e as usize], "overlap at esi {e} (s={s})");
                     covered[e as usize] = true;
@@ -424,7 +433,7 @@ mod tests {
         let spec = spec_multi(3);
         let mut seen = std::collections::HashSet::new();
         for i in 1..=3u32 {
-            let mut ss = SenderSession::new(spec.clone(), NodeId(i), &c);
+            let mut ss = SenderSession::new(spec.clone(), NodeId(i), &c, None);
             ss.next_src = ss.src_end; // exhaust sources; force repairs
             for _ in 0..1000 {
                 assert!(seen.insert(ss.alloc_esi()), "repair ESI collision");
@@ -437,7 +446,7 @@ mod tests {
         let c = cfg();
         let spec =
             SessionSpec::unicast(SessionId(1), 10 * 1440, NodeId(0), NodeId(1), SimTime::ZERO);
-        let mut ss = SenderSession::new(spec, NodeId(0), &c);
+        let mut ss = SenderSession::new(spec, NodeId(0), &c, None);
         let esis: Vec<u32> = (0..12).map(|_| ss.alloc_esi()).collect();
         assert_eq!(&esis[..10], &(0..10).collect::<Vec<u32>>()[..]);
         assert!(esis[10] >= 10 && esis[11] > esis[10]);
@@ -447,7 +456,7 @@ mod tests {
     fn window_capped_for_short_objects() {
         let c = cfg();
         let spec = SessionSpec::unicast(SessionId(1), 1440, NodeId(0), NodeId(1), SimTime::ZERO);
-        let ss = SenderSession::new(spec, NodeId(0), &c);
+        let ss = SenderSession::new(spec, NodeId(0), &c, None);
         assert_eq!(ss.window(&c), 3); // k=1 → 1+2
     }
 
@@ -455,7 +464,7 @@ mod tests {
     fn window_divided_among_read_replicas() {
         let c = cfg();
         let spec = spec_multi(3);
-        let ss = SenderSession::new(spec, NodeId(1), &c);
+        let ss = SenderSession::new(spec, NodeId(1), &c, None);
         assert_eq!(ss.window(&c), u64::from(c.initial_window.div_ceil(3)));
     }
 
@@ -469,7 +478,7 @@ mod tests {
             NodeId(1),
             SimTime::ZERO,
         );
-        let mut ss = SenderSession::new(spec, NodeId(0), &c);
+        let mut ss = SenderSession::new(spec, NodeId(0), &c, None);
         let mut ctx = Ctx::detached(SimTime::ZERO, NodeId(0));
         ss.start(NodeId(0), &c, &mut ctx);
         let w = ss.window(&c);
@@ -494,7 +503,7 @@ mod tests {
             NodeId(1),
             SimTime::ZERO,
         );
-        let mut ss = SenderSession::new(spec, NodeId(0), &c);
+        let mut ss = SenderSession::new(spec, NodeId(0), &c, None);
         let mut ctx = Ctx::detached(SimTime::ZERO, NodeId(0));
         ss.start(NodeId(0), &c, &mut ctx);
         // Window believed full; 5 in-flight symbols died. The batched
@@ -522,7 +531,7 @@ mod tests {
             NodeId(1),
             SimTime::ZERO,
         );
-        let mut ss = SenderSession::new(spec, NodeId(0), &c);
+        let mut ss = SenderSession::new(spec, NodeId(0), &c, None);
         let mut ctx = Ctx::detached(SimTime::ZERO, NodeId(0));
         ss.start(NodeId(0), &c, &mut ctx);
         let emitted_before = ss.emitted();
@@ -556,7 +565,7 @@ mod tests {
             NodeId(1),
             SimTime::ZERO,
         );
-        let mut ss = SenderSession::new(spec, NodeId(0), &c);
+        let mut ss = SenderSession::new(spec, NodeId(0), &c, None);
         let mut ctx = Ctx::detached(SimTime::ZERO, NodeId(0));
         ss.start(NodeId(0), &c, &mut ctx);
         // Window is full (no arrivals reported) but a nudge still emits.

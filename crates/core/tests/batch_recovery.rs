@@ -26,7 +26,7 @@ fn run_recovery_round(
         NodeId(0),
         SimTime::ZERO,
     );
-    let mut rs = ReceiverSession::new(spec, NodeId(0), &cfg, 42);
+    let mut rs = ReceiverSession::new(spec, NodeId(0), &cfg, 42, None);
     for &idx in extra_pulls {
         rs.note_pull_sent(usize::from(idx) % n_senders);
     }
@@ -106,7 +106,7 @@ proptest! {
             NodeId(0),
             SimTime::ZERO,
         );
-        let mut rs = ReceiverSession::new(spec, NodeId(0), &cfg, 42);
+        let mut rs = ReceiverSession::new(spec, NodeId(0), &cfg, 42, None);
         let mut rng = netsim::Pcg32::new(seed);
         for _ in 0..n_arrivals {
             if rs.done {
@@ -168,7 +168,7 @@ proptest! {
             NodeId(0),
             SimTime::ZERO,
         );
-        let mut rs = ReceiverSession::new(spec, NodeId(0), &cfg, 42);
+        let mut rs = ReceiverSession::new(spec, NodeId(0), &cfg, 42, None);
         let mut rng = netsim::Pcg32::new(seed);
         for _ in 0..n_arrivals {
             if rs.done {
@@ -242,7 +242,7 @@ proptest! {
             NodeId(1),
             SimTime::ZERO,
         );
-        let mut ss = SenderSession::new(spec, NodeId(0), &cfg);
+        let mut ss = SenderSession::new(spec, NodeId(0), &cfg, None);
         let mut ctx = Ctx::detached(SimTime::ZERO, NodeId(0));
         ss.start(NodeId(0), &cfg, &mut ctx);
         let w = ctx.queued_sends().len() as u64; // the initial window

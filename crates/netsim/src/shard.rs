@@ -35,7 +35,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::{Barrier, Mutex, RwLock};
+use std::sync::{Condvar, Mutex, PoisonError, RwLock};
 
 use crate::packet::SimPayload;
 use crate::sim::{
@@ -305,7 +305,92 @@ struct Driver<'a, P, T> {
     next_pub: Vec<AtomicU64>,
     tg_pub: AtomicU64,
     tb_pub: AtomicU64,
-    barrier: Barrier,
+    barrier: PoisonBarrier,
+}
+
+/// A reusable barrier that a panicking worker releases. Once poisoned,
+/// every pending and later [`PoisonBarrier::wait`] unwinds instead of
+/// blocking, so the other workers leave the scope and the run fails
+/// with the original panic instead of hanging.
+struct PoisonBarrier {
+    n: usize,
+    state: Mutex<BarrierState>,
+    cv: Condvar,
+}
+
+/// Every update is one counter step or one flag write, and nothing
+/// panics while the lock is held, so a poisoned guard is still valid.
+#[derive(Default)]
+struct BarrierState {
+    arrived: usize,
+    generation: u64,
+    /// The first worker that panicked.
+    poisoned_by: Option<usize>,
+}
+
+/// The unwind payload of a worker released from a poisoned barrier.
+struct BarrierPoisoned;
+
+impl PoisonBarrier {
+    fn new(n: usize) -> Self {
+        Self {
+            n,
+            state: Mutex::default(),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Block until all `n` workers arrive; unwind if the barrier is or
+    /// becomes poisoned first.
+    fn wait(&self) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if st.poisoned_by.is_none() {
+            st.arrived += 1;
+            if st.arrived == self.n {
+                st.arrived = 0;
+                st.generation += 1;
+                self.cv.notify_all();
+                return;
+            }
+            let generation = st.generation;
+            st = self
+                .cv
+                .wait_while(st, |s| {
+                    s.generation == generation && s.poisoned_by.is_none()
+                })
+                .unwrap_or_else(PoisonError::into_inner);
+            if st.generation != generation {
+                return;
+            }
+        }
+        drop(st);
+        std::panic::resume_unwind(Box::new(BarrierPoisoned));
+    }
+
+    /// Release every waiter for good; the first caller is recorded.
+    fn poison(&self, worker: usize) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.poisoned_by.get_or_insert(worker);
+        self.cv.notify_all();
+    }
+
+    fn poisoned_by(&self) -> Option<usize> {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .poisoned_by
+    }
+}
+
+/// Poisons the barrier when its worker unwinds.
+struct PoisonOnPanic<'b>(&'b PoisonBarrier, usize);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison(self.1);
+        }
+    }
 }
 
 /// One shard's execution lane: its contiguous slice of cells (starting
@@ -400,22 +485,34 @@ where
         next_pub: (0..k).map(|_| AtomicU64::new(u64::MAX)).collect(),
         tg_pub: AtomicU64::new(u64::MAX),
         tb_pub: AtomicU64::new(u64::MAX),
-        barrier: Barrier::new(k),
+        barrier: PoisonBarrier::new(k),
     };
     let workers: Vec<Worker<P, A>> = if k == 1 {
         workers.into_iter().map(|wk| d.work(wk)).collect()
     } else {
-        std::thread::scope(|scope| {
+        let mut results: Vec<_> = std::thread::scope(|scope| {
             let d = &d;
             let handles: Vec<_> = workers
                 .into_iter()
-                .map(|wk| scope.spawn(move || d.work(wk)))
+                .map(|wk| {
+                    scope.spawn(move || {
+                        let _poison = PoisonOnPanic(&d.barrier, wk.w);
+                        d.work(wk)
+                    })
+                })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        // The workers released by the poisoned barrier unwound with
+        // `BarrierPoisoned`; re-raise the panic that poisoned it.
+        if let Some(w) = d.barrier.poisoned_by() {
+            let payload = results.swap_remove(w).err();
+            std::panic::resume_unwind(payload.expect("only a panicking worker poisons"));
+        }
+        results
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|_| unreachable!("a panic poisons the barrier")))
+            .collect()
     };
 
     // Reassemble: flush the notes buffered since the last

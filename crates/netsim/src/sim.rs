@@ -3199,6 +3199,51 @@ mod tests {
         assert!(sim.plan.is_none(), "one switch cannot shard");
     }
 
+    /// An agent that panics in one shard fails a 2-shard run with the
+    /// agent's own panic, instead of leaving the other worker parked at
+    /// a barrier. The run goes on a helper thread so that a hang fails
+    /// the test on a timeout rather than stalling the suite.
+    #[test]
+    fn shard_worker_panic_fails_the_run() {
+        struct Bomb(Vec<Packet<P>>);
+        impl Agent<P> for Bomb {
+            fn on_packet(&mut self, _: Packet<P>, _: &mut Ctx<P>) {
+                panic!("agent exploded");
+            }
+            fn on_timer(&mut self, _: u64, ctx: &mut Ctx<P>) {
+                self.0.drain(..).for_each(|pkt| ctx.send(pkt));
+            }
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let out = std::panic::catch_unwind(|| {
+                let t = Topology::fat_tree(4, 1_000_000_000, 10_000);
+                let hosts = t.hosts().to_vec();
+                let (src, dst) = (hosts[0], hosts[15]);
+                let mut cfg = SimConfig::ndp(5);
+                cfg.shards = 2;
+                let mut sim = Simulator::new(t, cfg);
+                assert!(sim.plan.is_some(), "the run must be sharded");
+                for &h in &hosts {
+                    sim.set_agent(h, Bomb(Vec::new()));
+                }
+                sim.agent_mut(src).0.push(data_pkt(src, dst, 0));
+                sim.schedule_timer(src, SimTime::ZERO, 0);
+                sim.run_to_completion();
+            });
+            let msg = out
+                .err()
+                .map(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+            tx.send(msg).expect("test thread waits");
+        });
+        // A hung helper cannot be joined; it is left behind.
+        let msg = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a panicking shard worker hung the run");
+        helper.join().expect("the helper catches the run's panic");
+        assert_eq!(msg, Some(Some("agent exploded".to_string())));
+    }
+
     /// The sharded loop reproduces the serial run byte for byte at any
     /// shard count, through a mid-stream switch failure and repair —
     /// same delivery trace (payloads and timestamps), same stats up to

@@ -255,6 +255,16 @@ impl Encoder {
         self.params
     }
 
+    /// Whether `data` is exactly the block this encoder was built over
+    /// (what a successful decode must return).
+    pub fn matches_source(&self, data: &[u8]) -> bool {
+        data.len() == self.code.data_len
+            && data
+                .chunks(self.code.symbol_size)
+                .zip(&self.source)
+                .all(|(d, s)| d == &s[..d.len()])
+    }
+
     /// Produce encoding symbol `esi`.
     ///
     /// Source symbols (`esi < k`) are returned from storage; repair
@@ -436,6 +446,21 @@ mod tests {
         for esi in [10u32, 11, 999, 123_456] {
             assert_eq!(a.symbol(esi), b.symbol(esi));
         }
+    }
+
+    #[test]
+    fn matches_source_only_for_the_exact_block() {
+        // 3.5 symbols: the padded tail must not count as data.
+        let d = data(56);
+        let enc = Encoder::new(&d, 16).unwrap();
+        assert!(enc.matches_source(&d));
+        assert!(!enc.matches_source(&d[..55]), "truncated");
+        let mut padded = d.clone();
+        padded.push(0);
+        assert!(!enc.matches_source(&padded), "padding is not data");
+        let mut flipped = d.clone();
+        flipped[40] ^= 1;
+        assert!(!enc.matches_source(&flipped), "one bit off");
     }
 
     #[test]

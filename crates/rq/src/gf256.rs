@@ -6,12 +6,18 @@
 //! is two table lookups and an addition.
 //!
 //! Besides scalar arithmetic this module provides the *symbol* operations
-//! the codec is built from: XOR of whole symbols (`u64`-wide,
-//! autovectorizable) and table-driven multiply-accumulate / scaling over
-//! whole slices ([`addmul`], [`mul_slice`]) that index one 256-byte row of
-//! a compile-time 64 KiB product table per coefficient — branchless in the
-//! per-byte loop, which is what the solver's forward-elimination and dense
-//! phases spend their time in.
+//! the codec is built from: XOR of whole symbols ([`xor_assign`],
+//! `u64`-wide, autovectorizable) and multiply-accumulate / scaling over
+//! whole slices ([`addmul`], [`mul_slice`]), which the encoder's HDPC rows
+//! and the solver's elimination spend their time in.
+//!
+//! [`addmul`] and [`mul_slice`] dispatch at run time to the fastest
+//! [`Kernel`] the CPU has: split-nibble `pshufb` lookups over 32 bytes at
+//! a time with AVX2, or 16 with SSSE3 (x86-64 only), chosen with
+//! `is_x86_feature_detected!`. The vector kernel covers the whole vectors
+//! of a slice; the scalar loop, one [`MUL_TABLE`] row lookup per byte,
+//! finishes the tail and is the whole path on other CPUs. Field
+//! arithmetic is exact, so every kernel produces the same bytes.
 
 /// The reduction polynomial, `x^8 + x^4 + x^3 + x^2 + 1`, as the low 9 bits.
 pub const POLY: u16 = 0x11D;
@@ -31,13 +37,11 @@ pub static LOG: [u8; 256] = build_log();
 
 /// Full 256×256 product table: `MUL_TABLE[a][b] = a · b`.
 ///
-/// 64 KiB, built at compile time. The symbol-slice hot loops
-/// ([`addmul`], [`mul_slice`]) index one *row* of this table, which turns
-/// the per-byte work into a single data-dependent load and an XOR — no
-/// zero-operand branch and no log-domain addition as with the
-/// [`EXP`]/[`LOG`] pair. The row layout keeps the working set at 256
-/// bytes (four cache lines) per coefficient, which is what lets the
-/// compiler unroll the loop and the prefetcher keep up.
+/// 64 KiB, built at compile time. The scalar slice loop indexes one
+/// 256-byte *row* of it per coefficient, so each byte is a single
+/// data-dependent load and an XOR, with no zero-operand branch and no
+/// log-domain addition as with the [`EXP`]/[`LOG`] pair. The vector
+/// kernels' 16-entry nibble tables are built from it too.
 pub static MUL_TABLE: [[u8; 256]; 256] = build_mul_table();
 
 const fn build_exp() -> [u8; 510] {
@@ -136,62 +140,76 @@ pub fn xor_assign(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// Table-driven multiply-accumulate over whole symbol slices:
-/// `dst[i] ^= c · dst_len-matched src[i]`.
+/// A GF(2^8) slice kernel: the vector instructions [`addmul`] and
+/// [`mul_slice`] run on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kernel {
+    /// 32-byte split-nibble `vpshufb` lookups (x86-64 AVX2).
+    Avx2,
+    /// 16-byte split-nibble `pshufb` lookups (x86-64 SSSE3).
+    Ssse3,
+    /// One [`MUL_TABLE`] row lookup per byte; every CPU.
+    Scalar,
+}
+
+impl Kernel {
+    /// Lower-case name, as reports print it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Kernel::Avx2 => "avx2",
+            Kernel::Ssse3 => "ssse3",
+            Kernel::Scalar => "scalar",
+        }
+    }
+}
+
+/// The kernel [`addmul`] and [`mul_slice`] use on this CPU.
+pub fn kernel() -> Kernel {
+    crate::simd::detect()
+}
+
+/// Multiply-accumulate over whole symbol slices: `dst[i] ^= c · src[i]`.
 ///
-/// The per-byte loop is branchless — one row of [`MUL_TABLE`] is selected
-/// once, then every byte is a load + XOR with no data-dependent control
-/// flow (the old log/exp formulation branched on `src[i] == 0` and did two
-/// dependent lookups per byte). `c == 0` is a no-op and `c == 1`
-/// degenerates to [`xor_assign`] (which takes the `u64`-wide
-/// autovectorized path); both are common in the solver so they get
-/// dedicated paths.
+/// `c == 0` is a no-op and `c == 1` is [`xor_assign`]; both are common in
+/// the solver. Any other scalar runs the [`kernel`] of this CPU.
 #[inline]
 pub fn addmul(dst: &mut [u8], src: &[u8], c: u8) {
     match c {
         0 => {}
         1 => xor_assign(dst, src),
-        _ => {
-            assert_eq!(dst.len(), src.len(), "symbol length mismatch");
-            let row = &MUL_TABLE[c as usize];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d ^= row[*s as usize];
-            }
-        }
+        _ => addmul_with(kernel(), dst, src, c),
     }
 }
 
-/// Table-driven in-place symbol scaling: `dst[i] = c · dst[i]`.
-///
-/// Branchless per-byte loop over one [`MUL_TABLE`] row, like [`addmul`].
+/// In-place symbol scaling: `dst[i] = c · dst[i]`, dispatched like
+/// [`addmul`].
 #[inline]
 pub fn mul_slice(dst: &mut [u8], c: u8) {
     match c {
         0 => dst.fill(0),
         1 => {}
-        _ => {
-            let row = &MUL_TABLE[c as usize];
-            for d in dst.iter_mut() {
-                *d = row[*d as usize];
-            }
-        }
+        _ => mul_slice_with(kernel(), dst, c),
     }
 }
 
-/// Fused multiply-accumulate on symbols: `dst[i] ^= c · src[i]`.
-///
-/// Alias for [`addmul`], kept for the solver's historical vocabulary.
-#[inline]
-pub fn fma(dst: &mut [u8], src: &[u8], c: u8) {
-    addmul(dst, src, c);
+/// [`addmul`] on an explicit kernel, without the 0 and 1 shortcuts: the
+/// vector prefix, then the scalar loop over the tail.
+fn addmul_with(kernel: Kernel, dst: &mut [u8], src: &[u8], c: u8) {
+    assert_eq!(dst.len(), src.len(), "symbol length mismatch");
+    let n = crate::simd::addmul(kernel, dst, src, c);
+    let row = &MUL_TABLE[c as usize];
+    for (d, s) in dst[n..].iter_mut().zip(&src[n..]) {
+        *d ^= row[*s as usize];
+    }
 }
 
-/// Scale a symbol in place: `dst[i] = c · dst[i]`.
-///
-/// Alias for [`mul_slice`].
-#[inline]
-pub fn scale(dst: &mut [u8], c: u8) {
-    mul_slice(dst, c);
+/// [`mul_slice`] on an explicit kernel, without the 0 and 1 shortcuts.
+fn mul_slice_with(kernel: Kernel, dst: &mut [u8], c: u8) {
+    let n = crate::simd::mul_slice(kernel, dst, c);
+    let row = &MUL_TABLE[c as usize];
+    for d in dst[n..].iter_mut() {
+        *d = row[*d as usize];
+    }
 }
 
 #[cfg(test)]
@@ -245,49 +263,124 @@ mod tests {
         }
     }
 
+    /// Every product, from [`mul_ref`] alone: `reference()[c][x] = c · x`.
+    fn reference() -> Vec<[u8; 256]> {
+        (0..=255u8)
+            .map(|c| std::array::from_fn(|x| mul_ref(c, x as u8)))
+            .collect()
+    }
+
+    /// The scalar path plus every vector kernel this CPU runs. A kernel
+    /// the CPU lacks would fall back to the scalar loop, so it is left
+    /// out rather than tested twice.
+    fn kernels() -> Vec<Kernel> {
+        let mut ks = vec![Kernel::Scalar];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2") {
+                ks.push(Kernel::Avx2);
+            }
+            if std::arch::is_x86_feature_detected!("ssse3") {
+                ks.push(Kernel::Ssse3);
+            }
+        }
+        ks
+    }
+
+    /// Lengths 0–70 straddle every vector width and tail; 1440 is the
+    /// paper's symbol size.
+    const LENGTHS: [std::ops::RangeInclusive<usize>; 2] = [0..=70, 1440..=1440];
+
     #[test]
     fn addmul_matches_reference_all_scalars() {
-        // Every scalar, over a slice long enough to exercise unrolling.
-        let src = bytes(0xA11CE, 257);
-        let base = bytes(0xB0B, 257);
-        for c in 0..=255u8 {
-            let mut dst = base.clone();
-            addmul(&mut dst, &src, c);
-            for i in 0..src.len() {
-                assert_eq!(dst[i], base[i] ^ mul_ref(c, src[i]), "c={c} i={i}");
+        let table = reference();
+        for kernel in kernels() {
+            for len in LENGTHS.into_iter().flatten() {
+                let src = bytes(len as u64 + 1, len);
+                let base = bytes(len as u64 + 1000, len);
+                for c in 0..=255u8 {
+                    let mut dst = base.clone();
+                    addmul_with(kernel, &mut dst, &src, c);
+                    for i in 0..len {
+                        let want = base[i] ^ table[c as usize][src[i] as usize];
+                        assert_eq!(dst[i], want, "{kernel:?} len={len} c={c} i={i}");
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn mul_slice_matches_reference_all_scalars() {
-        let base = bytes(0xCAFE, 257);
-        for c in 0..=255u8 {
-            let mut dst = base.clone();
-            mul_slice(&mut dst, c);
-            for i in 0..base.len() {
-                assert_eq!(dst[i], mul_ref(c, base[i]), "c={c} i={i}");
+        let table = reference();
+        for kernel in kernels() {
+            for len in LENGTHS.into_iter().flatten() {
+                let base = bytes(len as u64 + 7, len);
+                for c in 0..=255u8 {
+                    let mut dst = base.clone();
+                    mul_slice_with(kernel, &mut dst, c);
+                    for i in 0..len {
+                        let want = table[c as usize][base[i] as usize];
+                        assert_eq!(dst[i], want, "{kernel:?} len={len} c={c} i={i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernels_handle_unaligned_subslices() {
+        // Sub-slices at offsets 1–31 (dst and src misaligned differently)
+        // give every kernel unaligned heads and tails; the bytes around
+        // the sub-slice must stay untouched.
+        let table = reference();
+        let src_buf = bytes(0x51C, 1440 + 64);
+        let base_buf = bytes(0xD57, 1440 + 64);
+        for kernel in kernels() {
+            for off in 1..=31usize {
+                let soff = (off * 7) % 32;
+                for len in [1usize, 15, 16, 17, 31, 32, 33, 63, 64, 65, 70, 1440] {
+                    let c = (off * 37 + len) as u8 | 2;
+                    let src = &src_buf[soff..soff + len];
+                    let mut dst = base_buf.clone();
+                    addmul_with(kernel, &mut dst[off..off + len], src, c);
+                    let mut scaled = base_buf.clone();
+                    mul_slice_with(kernel, &mut scaled[off..off + len], c);
+                    for i in 0..base_buf.len() {
+                        let (want_add, want_mul) = if (off..off + len).contains(&i) {
+                            let s = src[i - off] as usize;
+                            let b = base_buf[i];
+                            (b ^ table[c as usize][s], table[c as usize][b as usize])
+                        } else {
+                            (base_buf[i], base_buf[i])
+                        };
+                        let at = format!("{kernel:?} off={off} len={len} c={c} i={i}");
+                        assert_eq!(dst[i], want_add, "addmul {at}");
+                        assert_eq!(scaled[i], want_mul, "mul_slice {at}");
+                    }
+                }
             }
         }
     }
 
     #[test]
     fn addmul_length_edges() {
-        // Empty slices, sub-word lengths, and word-boundary straddles —
-        // the lengths where a chunked fast path would get its tail wrong.
-        for len in [0usize, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65] {
+        // `addmul` and `mul_slice` as callers see them — the 0 and 1
+        // shortcuts and the dispatched kernel — at every vector-width
+        // straddle.
+        let table = reference();
+        for len in LENGTHS.into_iter().flatten() {
             let src = bytes(len as u64 + 1, len);
             let base = bytes(len as u64 + 1000, len);
             for c in [0u8, 1, 2, 0x53, 0xFF] {
+                let row = &table[c as usize];
                 let mut dst = base.clone();
                 addmul(&mut dst, &src, c);
+                let mut scaled = base.clone();
+                mul_slice(&mut scaled, c);
                 for i in 0..len {
-                    assert_eq!(dst[i], base[i] ^ mul_ref(c, src[i]), "len={len} c={c}");
-                }
-                let mut dst2 = base.clone();
-                mul_slice(&mut dst2, c);
-                for i in 0..len {
-                    assert_eq!(dst2[i], mul_ref(c, base[i]), "len={len} c={c}");
+                    assert_eq!(dst[i], base[i] ^ row[src[i] as usize], "len={len} c={c}");
+                    assert_eq!(scaled[i], row[base[i] as usize], "len={len} c={c}");
                 }
             }
         }
@@ -295,22 +388,25 @@ mod tests {
 
     #[test]
     fn addmul_random_slices() {
-        // Random (length, scalar, contents) triples, checked bytewise.
+        // Random (length, scalar, contents) triples through the public
+        // entry points, checked bytewise.
+        let table = reference();
         let mut seed = 0x5EED_u64;
         for trial in 0..200 {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
             let len = (seed >> 33) as usize % 200;
             let c = (seed >> 24) as u8;
+            let row = &table[c as usize];
             let src = bytes(seed ^ 0x1111, len);
             let base = bytes(seed ^ 0x2222, len);
             let mut dst = base.clone();
             addmul(&mut dst, &src, c);
+            let mut scaled = base.clone();
+            mul_slice(&mut scaled, c);
             for i in 0..len {
-                assert_eq!(
-                    dst[i],
-                    base[i] ^ mul_ref(c, src[i]),
-                    "trial={trial} len={len} c={c} i={i}"
-                );
+                let at = format!("trial={trial} len={len} c={c} i={i}");
+                assert_eq!(dst[i], base[i] ^ row[src[i] as usize], "{at}");
+                assert_eq!(scaled[i], row[base[i] as usize], "{at}");
             }
         }
     }
@@ -408,31 +504,6 @@ mod tests {
             // XOR is an involution.
             xor_assign(&mut d, &b);
             assert_eq!(d, a);
-        }
-    }
-
-    #[test]
-    fn fma_matches_scalar() {
-        let src: Vec<u8> = (0..100).map(|i| (i * 17) as u8).collect();
-        for c in [0u8, 1, 2, 37, 255] {
-            let mut dst: Vec<u8> = (0..100).map(|i| (i * 29 + 3) as u8).collect();
-            let orig = dst.clone();
-            fma(&mut dst, &src, c);
-            for i in 0..100 {
-                assert_eq!(dst[i], orig[i] ^ mul(c, src[i]));
-            }
-        }
-    }
-
-    #[test]
-    fn scale_matches_scalar() {
-        for c in [0u8, 1, 5, 128, 255] {
-            let mut dst: Vec<u8> = (0..64).map(|i| (i * 41 + 1) as u8).collect();
-            let orig = dst.clone();
-            scale(&mut dst, c);
-            for i in 0..64 {
-                assert_eq!(dst[i], mul(c, orig[i]));
-            }
         }
     }
 }

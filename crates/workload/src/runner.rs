@@ -20,8 +20,7 @@ use netsim::{
     Recorder, RouteMode, RoutingPolicy, SimConfig, SimPayload, SimTime, Simulator, Topology,
 };
 use polyraptor::{
-    host_fail_token, host_up_token, start_token, PolyraptorAgent, PrConfig, PrPayload, SessionId,
-    SessionSpec,
+    host_fail_token, host_up_token, PolyraptorAgent, PrConfig, PrPayload, SessionId, SessionSpec,
 };
 use tcpsim::{conn_start_token, ConnId, ConnSpec, TcpAgent, TcpConfig, TcpPayload};
 
@@ -833,15 +832,13 @@ pub fn build_rq_specs<A: netsim::Agent<polyraptor::PrPayload>, T: netsim::Teleme
 }
 
 /// Install a Polyraptor session at every participant and schedule its
-/// start timer everywhere (receivers need it to arm their keep-alive).
+/// start timer everywhere: [`polyraptor::install_session`], which builds
+/// a real-oracle session's one shared encoder.
 pub fn install_rq<T: netsim::TelemetrySink>(
     sim: &mut Simulator<polyraptor::PrPayload, PolyraptorAgent, T>,
     spec: &SessionSpec,
 ) {
-    for &h in spec.senders.iter().chain(&spec.receivers) {
-        sim.agent_mut(h).install(spec.clone());
-        sim.schedule_timer(h, spec.start, start_token(spec.id));
-    }
+    polyraptor::install_session(sim, spec);
 }
 
 fn expected_rq_records(ls: &LogicalSession, pattern: Pattern) -> usize {

@@ -14,7 +14,7 @@
 
 use polyraptor_repro::netsim::{SimConfig, SimTime, Simulator};
 use polyraptor_repro::polyraptor::{
-    start_token, PolyraptorAgent, PrConfig, SessionId, SessionSpec,
+    install_session, PolyraptorAgent, PrConfig, SessionId, SessionSpec,
 };
 use polyraptor_repro::workload::Fabric;
 
@@ -33,10 +33,7 @@ fn main() {
     let bytes = 1 << 20; // 1 MB block
     let spec =
         SessionSpec::multi_source(SessionId(1), bytes, replicas.clone(), client, SimTime::ZERO);
-    for &h in spec.senders.iter().chain(spec.receivers.iter()) {
-        sim.agent_mut(h).install(spec.clone());
-        sim.schedule_timer(h, spec.start, start_token(spec.id));
-    }
+    install_session(&mut sim, &spec);
     sim.run_to_completion();
 
     let agent = sim.agent(client);

@@ -10,7 +10,7 @@
 
 use polyraptor_repro::netsim::{NodeKind, SimConfig, SimTime, Simulator, Topology};
 use polyraptor_repro::polyraptor::{
-    session_object, start_token, PolyraptorAgent, PrConfig, SessionId, SessionSpec,
+    install_session, session_object, PolyraptorAgent, PrConfig, SessionId, SessionSpec,
 };
 use polyraptor_repro::rq::{Decoder, Encoder};
 
@@ -65,10 +65,7 @@ fn main() {
 
     let bytes = 256 * 1024;
     let spec = SessionSpec::unicast(SessionId(7), bytes, a, b, SimTime::ZERO);
-    sim.agent_mut(a).install(spec.clone());
-    sim.agent_mut(b).install(spec.clone());
-    sim.schedule_timer(a, spec.start, start_token(spec.id));
-    sim.schedule_timer(b, spec.start, start_token(spec.id));
+    install_session(&mut sim, &spec);
     sim.run_to_completion();
 
     let rec = &sim.agent(b).records[0];

@@ -3,7 +3,7 @@
 
 use polyraptor_repro::netsim::{SimConfig, SimTime, Simulator, Topology};
 use polyraptor_repro::polyraptor::{
-    start_token, MulticastPull, PolyraptorAgent, PrConfig, SessionId, SessionSpec,
+    install_session, MulticastPull, PolyraptorAgent, PrConfig, SessionId, SessionSpec,
 };
 use polyraptor_repro::workload::{
     foreground_goodputs, op_results, run_incast, run_storage, Fabric, IncastScenario, Pattern,
@@ -47,10 +47,7 @@ fn real_oracle_multicast_write() {
         groups,
         SimTime::ZERO,
     );
-    for &h in spec.senders.iter().chain(&spec.receivers) {
-        sim.agent_mut(h).install(spec.clone());
-        sim.schedule_timer(h, spec.start, start_token(spec.id));
-    }
+    install_session(&mut sim, &spec);
     sim.run_to_completion();
     // The real oracle asserts decoded bytes internally; here we check
     // every replica finished and at a sane rate.
@@ -79,10 +76,7 @@ fn real_oracle_multi_source_fetch() {
         hosts[0],
         SimTime::ZERO,
     );
-    for &h in spec.senders.iter().chain(&spec.receivers) {
-        sim.agent_mut(h).install(spec.clone());
-        sim.schedule_timer(h, spec.start, start_token(spec.id));
-    }
+    install_session(&mut sim, &spec);
     sim.run_to_completion();
     let rec = &sim.agent(hosts[0]).records[0];
     assert_eq!(rec.data_len, 400_000);
@@ -115,10 +109,7 @@ fn real_oracle_legacy_code_multicast_write() {
         groups,
         SimTime::ZERO,
     );
-    for &h in spec.senders.iter().chain(&spec.receivers) {
-        sim.agent_mut(h).install(spec.clone());
-        sim.schedule_timer(h, spec.start, start_token(spec.id));
-    }
+    install_session(&mut sim, &spec);
     sim.run_to_completion();
     for &r in &receivers {
         let rec = &sim.agent(r).records[0];
@@ -242,10 +233,7 @@ fn ndp_fabric_never_drops() {
         hosts[0],
         SimTime::ZERO,
     );
-    for &h in spec.senders.iter().chain(&spec.receivers) {
-        sim.agent_mut(h).install(spec.clone());
-        sim.schedule_timer(h, spec.start, start_token(spec.id));
-    }
+    install_session(&mut sim, &spec);
     sim.run_to_completion();
     assert_eq!(sim.stats().dropped, 0, "trimming fabric must not drop");
     assert!(sim.stats().trimmed > 0, "overload must trim");
@@ -319,10 +307,7 @@ fn overlapping_roles_on_one_host() {
         ),
     ];
     for spec in &specs {
-        for &h in spec.senders.iter().chain(&spec.receivers) {
-            sim.agent_mut(h).install(spec.clone());
-            sim.schedule_timer(h, spec.start, start_token(spec.id));
-        }
+        install_session(&mut sim, spec);
     }
     sim.run_to_completion();
     assert_eq!(sim.agent(hosts[5]).records.len(), 1);

@@ -6,7 +6,7 @@
 
 use polyraptor_repro::netsim::{NodeKind, SimConfig, SimTime, Simulator, Topology};
 use polyraptor_repro::polyraptor::{
-    start_token, PolyraptorAgent, PrConfig, SessionId, SessionSpec,
+    install_session, PolyraptorAgent, PrConfig, SessionId, SessionSpec,
 };
 use polyraptor_repro::rq::{Decoder, Encoder};
 use polyraptor_repro::workload::{
@@ -54,10 +54,7 @@ fn quickstart_unicast_once() -> u64 {
     sim.set_agent(b, PolyraptorAgent::new(b, cfg, 2));
 
     let spec = SessionSpec::unicast(SessionId(0), 64 * 1440, a, b, SimTime::ZERO);
-    sim.agent_mut(a).install(spec.clone());
-    sim.agent_mut(b).install(spec.clone());
-    sim.schedule_timer(a, spec.start, start_token(spec.id));
-    sim.schedule_timer(b, spec.start, start_token(spec.id));
+    install_session(&mut sim, &spec);
     sim.run_to_completion();
 
     let rec = &sim.agent(b).records[0];
@@ -115,10 +112,7 @@ fn multi_source_fetch_once() -> u64 {
     }
     let bytes = 100_000;
     let spec = SessionSpec::multi_source(SessionId(1), bytes, replicas, client, SimTime::ZERO);
-    for &h in spec.senders.iter().chain(spec.receivers.iter()) {
-        sim.agent_mut(h).install(spec.clone());
-        sim.schedule_timer(h, spec.start, start_token(spec.id));
-    }
+    install_session(&mut sim, &spec);
     sim.run_to_completion();
     let rec = &sim.agent(client).records[0];
     assert_eq!(rec.data_len, bytes);
