@@ -506,4 +506,29 @@ mod tests {
             assert_eq!(d, a);
         }
     }
+
+    #[test]
+    fn fma_matches_scalar() {
+        let src: Vec<u8> = (0..100).map(|i| (i * 17) as u8).collect();
+        for c in [0u8, 1, 2, 37, 255] {
+            let mut dst: Vec<u8> = (0..100).map(|i| (i * 29 + 3) as u8).collect();
+            let orig = dst.clone();
+            addmul(&mut dst, &src, c);
+            for i in 0..100 {
+                assert_eq!(dst[i], orig[i] ^ mul(c, src[i]));
+            }
+        }
+    }
+
+    #[test]
+    fn scale_matches_scalar() {
+        for c in [0u8, 1, 5, 128, 255] {
+            let mut dst: Vec<u8> = (0..64).map(|i| (i * 41 + 1) as u8).collect();
+            let orig = dst.clone();
+            mul_slice(&mut dst, c);
+            for i in 0..64 {
+                assert_eq!(dst[i], mul(c, orig[i]));
+            }
+        }
+    }
 }
