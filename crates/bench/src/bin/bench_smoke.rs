@@ -723,7 +723,7 @@ fn main() {
     let rq_ratio = rq_bench.legacy_solver_ns / rq_bench.fast_ns;
     let rq_pass = rq_ratio >= min_rq_ratio;
     // Encoder construction speed is the vector kernels' claim; the
-    // scalar fallback (a CPU without SSSE3/AVX2) runs at ~180 MB/s, so
+    // scalar fallback (a CPU without AVX2) runs at ~180 MB/s, so
     // there the speeds are recorded and the gate is waived.
     let encode_enforced = rq_kernel != rq::gf256::Kernel::Scalar;
     let worst_encode_mbps = encode_benches

@@ -12,8 +12,8 @@
 //! and the solver's elimination spend their time in.
 //!
 //! [`addmul`] and [`mul_slice`] dispatch at run time to the fastest
-//! [`Kernel`] the CPU has: split-nibble `pshufb` lookups over 32 bytes at
-//! a time with AVX2, or 16 with SSSE3 (x86-64 only), chosen with
+//! [`Kernel`] the CPU has: split-nibble `vpshufb` lookups over 32 bytes
+//! at a time on an x86-64 CPU with AVX2, chosen with
 //! `is_x86_feature_detected!`. The vector kernel covers the whole vectors
 //! of a slice; the scalar loop, one [`MUL_TABLE`] row lookup per byte,
 //! finishes the tail and is the whole path on other CPUs. Field
@@ -146,8 +146,6 @@ pub fn xor_assign(dst: &mut [u8], src: &[u8]) {
 pub enum Kernel {
     /// 32-byte split-nibble `vpshufb` lookups (x86-64 AVX2).
     Avx2,
-    /// 16-byte split-nibble `pshufb` lookups (x86-64 SSSE3).
-    Ssse3,
     /// One [`MUL_TABLE`] row lookup per byte; every CPU.
     Scalar,
 }
@@ -157,7 +155,6 @@ impl Kernel {
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Avx2 => "avx2",
-            Kernel::Ssse3 => "ssse3",
             Kernel::Scalar => "scalar",
         }
     }
@@ -276,13 +273,8 @@ mod tests {
     fn kernels() -> Vec<Kernel> {
         let mut ks = vec![Kernel::Scalar];
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                ks.push(Kernel::Avx2);
-            }
-            if std::arch::is_x86_feature_detected!("ssse3") {
-                ks.push(Kernel::Ssse3);
-            }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            ks.push(Kernel::Avx2);
         }
         ks
     }

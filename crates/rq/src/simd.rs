@@ -3,8 +3,8 @@
 //! Multiplying every byte `x` of a symbol by a fixed scalar `c` is linear
 //! over GF(2), so `c · x = c · (x & 0x0F) ^ c · (x & 0xF0)`. Each half
 //! has 16 possible values, so the two products are one 16-entry table
-//! lookup each, and `pshufb` does 16 (SSSE3) or 32 (AVX2) such lookups in
-//! one instruction. [`NIBBLE`] holds the two tables of every scalar.
+//! lookup each, and AVX2 `vpshufb` does 32 such lookups in one
+//! instruction. [`NIBBLE`] holds the two tables of every scalar.
 //!
 //! Each kernel handles the longest prefix that is a whole number of
 //! vectors and returns its length; the caller finishes the tail with the
@@ -48,14 +48,6 @@ pub(crate) fn addmul(kernel: Kernel, dst: &mut [u8], src: &[u8], c: u8) -> usize
             // SAFETY: AVX2 support was detected on this CPU just above.
             unsafe { x86::addmul_avx2(dst, src, &NIBBLE[c as usize]) }
         }
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Ssse3 => {
-            if !std::arch::is_x86_feature_detected!("ssse3") {
-                return 0;
-            }
-            // SAFETY: SSSE3 support was detected on this CPU just above.
-            unsafe { x86::addmul_ssse3(dst, src, &NIBBLE[c as usize]) }
-        }
         #[cfg(not(target_arch = "x86_64"))]
         _ => 0,
     }
@@ -75,14 +67,6 @@ pub(crate) fn mul_slice(kernel: Kernel, dst: &mut [u8], c: u8) -> usize {
             // SAFETY: AVX2 support was detected on this CPU just above.
             unsafe { x86::mul_slice_avx2(dst, &NIBBLE[c as usize]) }
         }
-        #[cfg(target_arch = "x86_64")]
-        Kernel::Ssse3 => {
-            if !std::arch::is_x86_feature_detected!("ssse3") {
-                return 0;
-            }
-            // SAFETY: SSSE3 support was detected on this CPU just above.
-            unsafe { x86::mul_slice_ssse3(dst, &NIBBLE[c as usize]) }
-        }
         #[cfg(not(target_arch = "x86_64"))]
         _ => 0,
     }
@@ -94,9 +78,6 @@ pub(crate) fn detect() -> Kernel {
     {
         if std::arch::is_x86_feature_detected!("avx2") {
             return Kernel::Avx2;
-        }
-        if std::arch::is_x86_feature_detected!("ssse3") {
-            return Kernel::Ssse3;
         }
     }
     Kernel::Scalar
@@ -117,16 +98,6 @@ mod x86 {
         _mm256_xor_si256(_mm256_shuffle_epi8(lo, l), _mm256_shuffle_epi8(hi, h))
     }
 
-    /// The 128-bit form of [`mul256`].
-    #[inline]
-    #[target_feature(enable = "ssse3")]
-    fn mul128(x: __m128i, lo: __m128i, hi: __m128i) -> __m128i {
-        let mask = _mm_set1_epi8(0x0F);
-        let l = _mm_and_si128(x, mask);
-        let h = _mm_and_si128(_mm_srli_epi64::<4>(x), mask);
-        _mm_xor_si128(_mm_shuffle_epi8(lo, l), _mm_shuffle_epi8(hi, h))
-    }
-
     /// Both nibble tables of one scalar, each broadcast to both lanes.
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -138,19 +109,6 @@ mod x86 {
             (
                 _mm256_broadcastsi128_si256(lo),
                 _mm256_broadcastsi128_si256(hi),
-            )
-        }
-    }
-
-    /// Both nibble tables of one scalar.
-    #[inline]
-    #[target_feature(enable = "ssse3")]
-    fn tables128(t: &[u8; 32]) -> (__m128i, __m128i) {
-        // SAFETY: `t` is 32 readable bytes; unaligned loads are allowed.
-        unsafe {
-            (
-                _mm_loadu_si128(t.as_ptr().cast()),
-                _mm_loadu_si128(t.as_ptr().add(16).cast()),
             )
         }
     }
@@ -184,40 +142,6 @@ mod x86 {
             unsafe {
                 let x = _mm256_loadu_si256(d.as_ptr().cast());
                 _mm256_storeu_si256(d.as_mut_ptr().cast(), mul256(x, lo, hi));
-            }
-        }
-        n
-    }
-
-    /// SSSE3 multiply-accumulate over the 16-byte chunks of `dst`/`src`.
-    #[target_feature(enable = "ssse3")]
-    pub(super) fn addmul_ssse3(dst: &mut [u8], src: &[u8], t: &[u8; 32]) -> usize {
-        let (lo, hi) = tables128(t);
-        let n = dst.len().min(src.len()) & !15;
-        for (d, s) in dst[..n].chunks_exact_mut(16).zip(src[..n].chunks_exact(16)) {
-            // SAFETY: `d` and `s` are 16-byte chunks, so each unaligned
-            // 128-bit load and store stays inside its slice.
-            unsafe {
-                let x = _mm_loadu_si128(s.as_ptr().cast());
-                let y = _mm_loadu_si128(d.as_ptr().cast());
-                let r = _mm_xor_si128(y, mul128(x, lo, hi));
-                _mm_storeu_si128(d.as_mut_ptr().cast(), r);
-            }
-        }
-        n
-    }
-
-    /// SSSE3 in-place scaling over the 16-byte chunks of `dst`.
-    #[target_feature(enable = "ssse3")]
-    pub(super) fn mul_slice_ssse3(dst: &mut [u8], t: &[u8; 32]) -> usize {
-        let (lo, hi) = tables128(t);
-        let n = dst.len() & !15;
-        for d in dst[..n].chunks_exact_mut(16) {
-            // SAFETY: `d` is a 16-byte chunk, so the unaligned 128-bit
-            // load and store stay inside it.
-            unsafe {
-                let x = _mm_loadu_si128(d.as_ptr().cast());
-                _mm_storeu_si128(d.as_mut_ptr().cast(), mul128(x, lo, hi));
             }
         }
         n
